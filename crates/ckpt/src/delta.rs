@@ -14,6 +14,10 @@
 //! 3. run-length encode: `(zero_run, literal_len, literal bytes)` tokens
 //!    with LEB128 lengths.
 //!
+//! Steps 1–2 are one pass that materializes the transposed stream in a
+//! per-thread scratch buffer; step 3 then scans contiguous memory eight
+//! bytes at a time. [`apply`] runs the same two stages backwards.
+//!
 //! Encoding is lossless and self-checking: the delta records the CRC of
 //! both the base it was built against and the payload it reconstructs, so
 //! [`apply`] can never silently produce wrong bytes. When a delta would
@@ -125,6 +129,11 @@ pub fn decode_header(payload: &[u8]) -> Result<DeltaHeader, DeltaError> {
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    if v < 0x80 {
+        // Most runs are short: one byte, no loop.
+        out.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -153,20 +162,115 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, DeltaError> {
     }
 }
 
-/// Index of the `k`-th byte of the plane-transposed stream in the
-/// original payload of length `len`.
-#[inline]
-fn plane_index(k: usize, len: usize) -> usize {
-    // Plane p holds ceil((len - p) / 4) bytes; walk planes in order.
-    let mut k = k;
-    for p in 0..4usize {
-        let plane_len = (len + 3 - p) / 4;
-        if k < plane_len {
-            return p + 4 * k;
-        }
-        k -= plane_len;
+/// Offsets of the four byte planes in the transposed stream of a
+/// `len`-byte payload, plus `len` itself: plane `p` holds the bytes at
+/// indices `p, p + 4, p + 8, …`, i.e. `ceil((len - p) / 4)` of them.
+fn plane_bounds(len: usize) -> [usize; 5] {
+    let mut bounds = [0usize; 5];
+    for p in 0..4 {
+        bounds[p + 1] = bounds[p] + (len + 3 - p) / 4;
     }
-    unreachable!("k out of range");
+    bounds
+}
+
+thread_local! {
+    /// The planar scratch of this thread's encodes and applies: one
+    /// buffer as large as the largest shard seen, reused call after call
+    /// (a checkpoint writer is one long-lived thread).
+    static PLANAR: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's planar scratch, sized to `len` bytes of
+/// unspecified content.
+fn with_planar<T>(len: usize, f: impl FnOnce(&mut [u8]) -> T) -> T {
+    PLANAR.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Splits a planar buffer into its four planes.
+fn split_planes(planar: &mut [u8]) -> [&mut [u8]; 4] {
+    let bounds = plane_bounds(planar.len());
+    let (p0, rest) = planar.split_at_mut(bounds[1]);
+    let (p1, rest) = rest.split_at_mut(bounds[2] - bounds[1]);
+    let (p2, p3) = rest.split_at_mut(bounds[3] - bounds[2]);
+    [p0, p1, p2, p3]
+}
+
+/// Writes the plane-transposed XOR of `base` and `new` into `planar`
+/// (all three of one length): one pass over the 4-byte words, XORed
+/// whole and scattered a byte to each plane, then the `len % 4` tail
+/// bytes, which end planes `0..len % 4`.
+fn transpose_xor(base: &[u8], new: &[u8], planar: &mut [u8]) {
+    let words = new.len() / 4;
+    let [p0, p1, p2, p3] = split_planes(planar);
+    let word = |c: &[u8]| u32::from_le_bytes(c.try_into().expect("4-byte chunk"));
+    let planes = p0
+        .iter_mut()
+        .zip(p1.iter_mut())
+        .zip(p2.iter_mut().zip(p3.iter_mut()));
+    let sources = base.chunks_exact(4).zip(new.chunks_exact(4));
+    for (((x0, x1), (x2, x3)), (b, n)) in planes.zip(sources) {
+        [*x0, *x1, *x2, *x3] = (word(b) ^ word(n)).to_le_bytes();
+    }
+    for (i, plane) in (4 * words..new.len()).zip([p0, p1, p2]) {
+        plane[words] = base[i] ^ new[i];
+    }
+}
+
+/// Inverse of [`transpose_xor`]: `out = base ^ untransposed(planar)`.
+fn untranspose_xor(base: &[u8], planar: &mut [u8], out: &mut [u8]) {
+    let words = base.len() / 4;
+    let [p0, p1, p2, p3] = split_planes(planar);
+    let planes = p0.iter().zip(p1.iter()).zip(p2.iter().zip(p3.iter()));
+    let targets = out.chunks_exact_mut(4).zip(base.chunks_exact(4));
+    for (((x0, x1), (x2, x3)), (o, b)) in planes.zip(targets) {
+        let x = u32::from_le_bytes([*x0, *x1, *x2, *x3]);
+        let b = u32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+        o.copy_from_slice(&(b ^ x).to_le_bytes());
+    }
+    for (i, plane) in (4 * words..base.len()).zip([p0, p1, p2]) {
+        out[i] = base[i] ^ plane[words];
+    }
+}
+
+/// Length of the run of zero bytes `stream` starts with, eight bytes a
+/// step (the lowest set bit of a little-endian word sits in its first
+/// non-zero byte).
+fn zero_run(stream: &[u8]) -> usize {
+    let mut words = stream.chunks_exact(8);
+    let mut run = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        if w != 0 {
+            return run + (w.trailing_zeros() / 8) as usize;
+        }
+        run += 8;
+    }
+    run + words.remainder().iter().take_while(|&&b| b == 0).count()
+}
+
+/// Length of the run of non-zero bytes `stream` starts with, eight
+/// bytes a step: `(w - 0x01…) & !w & 0x80…` has the top bit set in
+/// exactly the zero bytes of `w` up to and including the lowest one.
+fn nonzero_run(stream: &[u8]) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut words = stream.chunks_exact(8);
+    let mut run = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let zero_bytes = w.wrapping_sub(LO) & !w & HI;
+        if zero_bytes != 0 {
+            return run + (zero_bytes.trailing_zeros() / 8) as usize;
+        }
+        run += 8;
+    }
+    run + words.remainder().iter().take_while(|&&b| b != 0).count()
 }
 
 /// Encodes `new` against `base` into `out` (cleared first). Returns
@@ -174,57 +278,64 @@ fn plane_index(k: usize, len: usize) -> usize {
 /// lengths or the delta would not be strictly smaller than `new`; the
 /// caller then writes a full shard instead.
 pub fn encode_into(base: &[u8], new: &[u8], base_version: u64, out: &mut Vec<u8>) -> bool {
+    encode_with_crcs(base, crc32(base), new, crc32(new), base_version, out)
+}
+
+/// [`encode_into`] for a caller that already holds both checksums
+/// (`base_crc` = `crc32(base)`, `new_crc` = `crc32(new)`): the writer
+/// hashed `new` for its dedup check and `base` when it stored it.
+pub fn encode_with_crcs(
+    base: &[u8],
+    base_crc: u32,
+    new: &[u8],
+    new_crc: u32,
+    base_version: u64,
+    out: &mut Vec<u8>,
+) -> bool {
     if base.len() != new.len() || new.len() < HEADER_LEN {
         return false;
     }
+    debug_assert_eq!((base_crc, new_crc), (crc32(base), crc32(new)));
     let len = new.len();
     out.clear();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.extend_from_slice(&FORMAT.to_le_bytes());
     out.extend_from_slice(&base_version.to_le_bytes());
-    out.extend_from_slice(&crc32(base).to_le_bytes());
+    out.extend_from_slice(&base_crc.to_le_bytes());
     out.extend_from_slice(&(len as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(new).to_le_bytes());
+    out.extend_from_slice(&new_crc.to_le_bytes());
+    with_planar(len, |planar| {
+        transpose_xor(base, new, planar);
+        tokenize(planar, out)
+    })
+}
 
-    // Tokenize the plane-transposed XOR stream without materializing it.
-    let xor_at = |k: usize| -> u8 {
-        let i = plane_index(k, len);
-        base[i] ^ new[i]
-    };
+/// Run-length encodes the transposed XOR stream `x` onto `out`, giving
+/// up (`false`) as soon as `out` is no shorter than `x`.
+fn tokenize(x: &[u8], out: &mut Vec<u8>) -> bool {
+    let len = x.len();
     let mut pos = 0usize;
     while pos < len {
         if out.len() >= len {
             return false; // not profitable
         }
-        // Zero run.
-        let zero_start = pos;
-        while pos < len && xor_at(pos) == 0 {
-            pos += 1;
-        }
-        put_varint(out, (pos - zero_start) as u64);
-        // Literal run: extends over short zero gaps.
+        let zeros = zero_run(&x[pos..]);
+        put_varint(out, zeros as u64);
+        pos += zeros;
+        // Literal run: extends over zero gaps too short to pay for a
+        // token of their own, and stops before a longer one — or before
+        // a gap of any length that reaches the end of the stream.
         let lit_start = pos;
-        let mut probe = pos;
-        while probe < len {
-            if xor_at(probe) != 0 {
-                probe += 1;
-                pos = probe;
-                continue;
-            }
-            // Count the zero gap; stop the literal before a long one.
-            let gap_start = probe;
-            while probe < len && xor_at(probe) == 0 {
-                probe += 1;
-            }
-            if probe - gap_start >= MIN_ZERO_RUN || probe == len {
+        while pos < len {
+            pos += nonzero_run(&x[pos..]);
+            let gap = zero_run(&x[pos..]);
+            if gap >= MIN_ZERO_RUN || pos + gap == len {
                 break;
             }
-            pos = probe;
+            pos += gap;
         }
         put_varint(out, (pos - lit_start) as u64);
-        for k in lit_start..pos {
-            out.push(xor_at(k));
-        }
+        out.extend_from_slice(&x[lit_start..pos]);
     }
     out.len() < len
 }
@@ -236,49 +347,36 @@ pub fn encode_into(base: &[u8], new: &[u8], base_version: u64, out: &mut Vec<u8>
 /// Any [`DeltaError`]: wrong frame, wrong base, corrupt stream, or a
 /// reconstruction that fails its CRC.
 pub fn apply(base: &[u8], delta: &[u8]) -> Result<Bytes, DeltaError> {
+    apply_with_base_crc(base, crc32(base), delta)
+}
+
+/// [`apply`] for a caller that already verified `base` against
+/// `base_crc` (= `crc32(base)`), e.g. on fetching it from the store:
+/// the base is matched to the delta by that checksum without another
+/// pass over it.
+///
+/// # Errors
+///
+/// As [`apply`].
+pub fn apply_with_base_crc(base: &[u8], base_crc: u32, delta: &[u8]) -> Result<Bytes, DeltaError> {
     let header = decode_header(delta)?;
-    let actual_base_crc = crc32(base);
-    if actual_base_crc != header.base_crc {
+    debug_assert_eq!(base_crc, crc32(base));
+    if base_crc != header.base_crc {
         return Err(DeltaError::BaseMismatch {
             expected: header.base_crc,
-            actual: actual_base_crc,
+            actual: base_crc,
         });
     }
     let len = usize::try_from(header.raw_len).map_err(|_| DeltaError::Corrupt)?;
     if base.len() != len {
         return Err(DeltaError::Corrupt);
     }
-    let mut out = base.to_vec();
-    let mut stream = &delta[HEADER_LEN..];
-    let mut pos = 0usize; // transposed position
-    while pos < len {
-        let zeros = get_varint(&mut stream)? as usize;
-        pos = pos.checked_add(zeros).ok_or(DeltaError::Corrupt)?;
-        if pos > len {
-            return Err(DeltaError::Corrupt);
-        }
-        if pos == len {
-            // The encoder closes a trailing zero run with an empty
-            // literal token; anything else is corruption.
-            if get_varint(&mut stream)? != 0 {
-                return Err(DeltaError::Corrupt);
-            }
-            break;
-        }
-        let lits = get_varint(&mut stream)? as usize;
-        if lits > len - pos || stream.len() < lits {
-            return Err(DeltaError::Corrupt);
-        }
-        for &b in &stream[..lits] {
-            let i = plane_index(pos, len);
-            out[i] ^= b;
-            pos += 1;
-        }
-        stream = &stream[lits..];
-    }
-    if !stream.is_empty() {
-        return Err(DeltaError::Corrupt);
-    }
+    let out = with_planar(len, |planar| {
+        detokenize(&delta[HEADER_LEN..], planar)?;
+        let mut out = vec![0u8; len];
+        untranspose_xor(base, planar, &mut out);
+        Ok(out)
+    })?;
     let actual = crc32(&out);
     if actual != header.raw_crc {
         return Err(DeltaError::ReconstructionMismatch {
@@ -287,6 +385,40 @@ pub fn apply(base: &[u8], delta: &[u8]) -> Result<Bytes, DeltaError> {
         });
     }
     Ok(Bytes::from(out))
+}
+
+/// Expands a token stream into the transposed XOR stream `x`, which it
+/// must fill exactly.
+fn detokenize(mut stream: &[u8], x: &mut [u8]) -> Result<(), DeltaError> {
+    let len = x.len();
+    let mut pos = 0usize;
+    while pos < len {
+        let zeros = usize::try_from(get_varint(&mut stream)?).map_err(|_| DeltaError::Corrupt)?;
+        if zeros > len - pos {
+            return Err(DeltaError::Corrupt);
+        }
+        x[pos..pos + zeros].fill(0);
+        pos += zeros;
+        if pos == len {
+            // The encoder closes a trailing zero run with an empty
+            // literal token; anything else is corruption.
+            if get_varint(&mut stream)? != 0 {
+                return Err(DeltaError::Corrupt);
+            }
+            break;
+        }
+        let lits = usize::try_from(get_varint(&mut stream)?).map_err(|_| DeltaError::Corrupt)?;
+        if lits > len - pos || stream.len() < lits {
+            return Err(DeltaError::Corrupt);
+        }
+        x[pos..pos + lits].copy_from_slice(&stream[..lits]);
+        pos += lits;
+        stream = &stream[lits..];
+    }
+    if !stream.is_empty() {
+        return Err(DeltaError::Corrupt);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -388,15 +520,255 @@ mod tests {
         assert_eq!(decode_header(b"nope"), Err(DeltaError::NotADelta));
     }
 
-    #[test]
-    fn plane_index_is_a_bijection() {
-        for len in [1usize, 2, 3, 4, 5, 7, 8, 63, 64, 65] {
-            let mut seen = vec![false; len];
-            for k in 0..len {
+    /// The codec this module shipped before the planar rewrite, kept
+    /// verbatim as the oracle: it walks the transposed stream through a
+    /// per-byte index computation and never materializes it.
+    mod reference {
+        use super::super::*;
+
+        fn plane_index(k: usize, len: usize) -> usize {
+            let mut k = k;
+            for p in 0..4usize {
+                let plane_len = (len + 3 - p) / 4;
+                if k < plane_len {
+                    return p + 4 * k;
+                }
+                k -= plane_len;
+            }
+            unreachable!("k out of range");
+        }
+
+        pub fn encode_into(base: &[u8], new: &[u8], base_version: u64, out: &mut Vec<u8>) -> bool {
+            if base.len() != new.len() || new.len() < HEADER_LEN {
+                return false;
+            }
+            let len = new.len();
+            out.clear();
+            out.extend_from_slice(&MAGIC.to_le_bytes());
+            out.extend_from_slice(&FORMAT.to_le_bytes());
+            out.extend_from_slice(&base_version.to_le_bytes());
+            out.extend_from_slice(&crc32(base).to_le_bytes());
+            out.extend_from_slice(&(len as u64).to_le_bytes());
+            out.extend_from_slice(&crc32(new).to_le_bytes());
+            let xor_at = |k: usize| -> u8 {
                 let i = plane_index(k, len);
-                assert!(!seen[i], "len {len}: index {i} hit twice");
-                seen[i] = true;
+                base[i] ^ new[i]
+            };
+            let mut pos = 0usize;
+            while pos < len {
+                if out.len() >= len {
+                    return false;
+                }
+                let zero_start = pos;
+                while pos < len && xor_at(pos) == 0 {
+                    pos += 1;
+                }
+                put_varint(out, (pos - zero_start) as u64);
+                let lit_start = pos;
+                let mut probe = pos;
+                while probe < len {
+                    if xor_at(probe) != 0 {
+                        probe += 1;
+                        pos = probe;
+                        continue;
+                    }
+                    let gap_start = probe;
+                    while probe < len && xor_at(probe) == 0 {
+                        probe += 1;
+                    }
+                    if probe - gap_start >= MIN_ZERO_RUN || probe == len {
+                        break;
+                    }
+                    pos = probe;
+                }
+                put_varint(out, (pos - lit_start) as u64);
+                for k in lit_start..pos {
+                    out.push(xor_at(k));
+                }
+            }
+            out.len() < len
+        }
+
+        pub fn apply(base: &[u8], delta: &[u8]) -> Result<Bytes, DeltaError> {
+            let header = decode_header(delta)?;
+            let actual_base_crc = crc32(base);
+            if actual_base_crc != header.base_crc {
+                return Err(DeltaError::BaseMismatch {
+                    expected: header.base_crc,
+                    actual: actual_base_crc,
+                });
+            }
+            let len = usize::try_from(header.raw_len).map_err(|_| DeltaError::Corrupt)?;
+            if base.len() != len {
+                return Err(DeltaError::Corrupt);
+            }
+            let mut out = base.to_vec();
+            let mut stream = &delta[HEADER_LEN..];
+            let mut pos = 0usize;
+            while pos < len {
+                let zeros = get_varint(&mut stream)? as usize;
+                pos = pos.checked_add(zeros).ok_or(DeltaError::Corrupt)?;
+                if pos > len {
+                    return Err(DeltaError::Corrupt);
+                }
+                if pos == len {
+                    if get_varint(&mut stream)? != 0 {
+                        return Err(DeltaError::Corrupt);
+                    }
+                    break;
+                }
+                let lits = get_varint(&mut stream)? as usize;
+                if lits > len - pos || stream.len() < lits {
+                    return Err(DeltaError::Corrupt);
+                }
+                for &b in &stream[..lits] {
+                    let i = plane_index(pos, len);
+                    out[i] ^= b;
+                    pos += 1;
+                }
+                stream = &stream[lits..];
+            }
+            if !stream.is_empty() {
+                return Err(DeltaError::Corrupt);
+            }
+            let actual = crc32(&out);
+            if actual != header.raw_crc {
+                return Err(DeltaError::ReconstructionMismatch {
+                    expected: header.raw_crc,
+                    actual,
+                });
+            }
+            Ok(Bytes::from(out))
+        }
+    }
+
+    /// Encodes one pair through both codecs and checks they agree on the
+    /// verdict and on every byte written — a refusal included, so "not
+    /// profitable" trips at the same token — and that each codec's delta
+    /// applies through both.
+    fn assert_equivalent(base: &[u8], new: &[u8]) {
+        let (mut fast, mut slow) = (vec![0xEE; 3], vec![0xEE; 3]);
+        let ok = encode_into(base, new, 77, &mut fast);
+        assert_eq!(ok, reference::encode_into(base, new, 77, &mut slow));
+        assert_eq!(fast, slow, "len {} (verdict {ok})", new.len());
+        if ok {
+            assert!(fast.len() < new.len());
+            for restored in [apply(base, &fast), reference::apply(base, &fast)] {
+                assert_eq!(&restored.unwrap()[..], new);
             }
         }
+    }
+
+    /// A payload derived from `base` by rewriting `changes` bytes.
+    fn mutate(base: &[u8], changes: &[(usize, u8)]) -> Vec<u8> {
+        let mut new = base.to_vec();
+        if !new.is_empty() {
+            for &(at, value) in changes {
+                let at = at % new.len();
+                new[at] = value;
+            }
+        }
+        new
+    }
+
+    #[test]
+    fn planar_codec_matches_reference_on_short_lengths() {
+        // Every length 0..=64 (so every `len % 4`, the declined lengths
+        // below the header size, and planes of unequal length), at every
+        // alignment of the slice start.
+        let noise: Vec<u8> = (0..160u32)
+            .map(|i| i.wrapping_mul(2_654_435_761).to_le_bytes()[2])
+            .collect();
+        for len in 0..=64usize {
+            for offset in 0..4 {
+                let base = &noise[offset..offset + len];
+                assert_equivalent(base, base);
+                assert_equivalent(base, &mutate(base, &[(len / 2, 0x5A)]));
+                assert_equivalent(base, &mutate(base, &[(0, 1), (len.saturating_sub(1), 2)]));
+                assert_equivalent(base, &noise[offset + 64..offset + 64 + len]);
+            }
+        }
+    }
+
+    #[test]
+    fn planar_codec_matches_reference_on_identical_and_disjoint_inputs() {
+        for len in [64, 257, 1023, 4096, 4099] {
+            let base: Vec<u8> = (0..len as u32)
+                .map(|i| i.wrapping_mul(2_246_822_519).to_le_bytes()[1])
+                .collect();
+            assert_equivalent(&base, &base);
+            // Every byte differs: refused, at the same byte.
+            let disjoint: Vec<u8> = base.iter().map(|b| !b).collect();
+            assert_equivalent(&base, &disjoint);
+            let mut fast = Vec::new();
+            assert!(!encode_into(&base, &disjoint, 1, &mut fast));
+            // Zero gaps of every length around MIN_ZERO_RUN, ending at
+            // the end of the stream and not.
+            for gap in 1..=6usize {
+                let mut new = disjoint.clone();
+                new[8..8 + 4 * gap].copy_from_slice(&base[8..8 + 4 * gap]);
+                assert_equivalent(&base, &new);
+                let tail = len - gap;
+                new[tail..].copy_from_slice(&base[tail..]);
+                assert_equivalent(&base, &new);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// New ≡ old over random payloads with random sparse and dense
+        /// rewrites, sliced at a random (unaligned) offset.
+        #[test]
+        fn planar_codec_matches_reference(
+            payload in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            changes in proptest::collection::vec((0usize..2048, proptest::prelude::any::<u8>()), 0..96),
+            skip in 0usize..7,
+        ) {
+            let base = &payload[skip.min(payload.len())..];
+            assert_equivalent(base, &mutate(base, &changes));
+        }
+
+        /// Slowly drifting floats — the shape of real optimizer state —
+        /// round-trip through both codecs to identical deltas.
+        #[test]
+        fn planar_codec_matches_reference_on_drifting_floats(
+            values in proptest::collection::vec(-4.0f32..4.0, 8..512),
+            drift in 1e-7f32..1e-2,
+            tail in 0usize..4,
+        ) {
+            let mut base = f32s(&values);
+            let mut new = f32s(&values.iter().map(|v| v * (1.0 + drift)).collect::<Vec<_>>());
+            base.truncate(base.len() - tail);
+            new.truncate(new.len() - tail);
+            assert_equivalent(&base, &new);
+        }
+    }
+
+    /// A caller-supplied base checksum replaces the pass over the base,
+    /// not the check: the wrong base's checksum is still refused.
+    #[test]
+    fn carried_base_crc_still_rejects_the_wrong_base() {
+        let base = f32s(&(0..128).map(|i| i as f32).collect::<Vec<_>>());
+        let mut new = base.clone();
+        new[17] ^= 0x55;
+        let mut delta = Vec::new();
+        assert!(encode_with_crcs(
+            &base,
+            crc32(&base),
+            &new,
+            crc32(&new),
+            5,
+            &mut delta
+        ));
+        let restored = apply_with_base_crc(&base, crc32(&base), &delta).unwrap();
+        assert_eq!(&restored[..], &new[..]);
+        let mut wrong = base.clone();
+        wrong[0] ^= 0xFF;
+        assert!(matches!(
+            apply_with_base_crc(&wrong, crc32(&wrong), &delta),
+            Err(DeltaError::BaseMismatch { .. })
+        ));
     }
 }

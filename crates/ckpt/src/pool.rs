@@ -6,9 +6,15 @@
 //! a second pooled buffer. Buffers return to the pool on drop, so after a
 //! short warm-up the pool itself stops allocating —
 //! [`BufferPool::allocations`] plateaus, which the runtime surfaces as
-//! `pool_allocs` and tests pin down. (The final `Bytes` handed to the
-//! object store is still an allocation per stored shard: stores own
-//! their payloads.)
+//! `pool_allocs` and tests pin down. What leaves the pool's accounting
+//! is the `Bytes` handed to the object store, one exact-size copy per
+//! stored shard: a full shard's is shared by refcount with the writer's
+//! delta base (one buffer serves both), a delta's is copied out of the
+//! pooled encode scratch, and a store that streams to disk
+//! (`FileObjectStore`) drops it as soon as the batch is written, while
+//! an in-memory store keeps it as the stored object. The delta codec's
+//! planar scratch is not pooled either: it is one buffer per encoding
+//! thread, reused for every shard (see [`crate::delta`]).
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};

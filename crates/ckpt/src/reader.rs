@@ -304,8 +304,13 @@ impl ChainStore {
                         "delta base {base_key} is not a full shard"
                     )));
                 }
+                // `fetch_stored` just verified the base against
+                // `stored_crc` — for a full shard the CRC of the raw
+                // payload the delta was encoded against — so the apply
+                // matches base to delta by that value instead of hashing
+                // the base a second time.
                 let base = self.fetch_stored(base_record)?;
-                delta::apply(&base, &stored)
+                delta::apply_with_base_crc(&base, base_record.stored_crc, &stored)
                     .map_err(|e| integrity_error(format!("applying delta {}: {e}", record.key)))
             }
         }

@@ -5,7 +5,7 @@
 //! of persisted shards" properties can be checked literally.
 
 use bytes::Bytes;
-use moc_store::{MemoryObjectStore, ObjectStore, ShardKey, StatePart, StoreError};
+use moc_store::{BatchShard, MemoryObjectStore, ObjectStore, ShardKey, StatePart, StoreError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -210,10 +210,23 @@ impl ObjectStore for CountingStore {
 
 /// A store recording the global order of successful `put`s, so tests can
 /// replay any prefix into a fresh store and check what it reconstructs.
+/// A batch is recorded shard by shard — it may tear between any two —
+/// and its size is logged apart, so tests can also pin how the writer
+/// groups its store calls.
 #[derive(Default)]
 pub struct RecordingStore {
     inner: MemoryObjectStore,
     log: Mutex<Vec<(ShardKey, Bytes)>>,
+    calls: Mutex<Vec<StoreCall>>,
+}
+
+/// One write call a [`RecordingStore`] served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreCall {
+    /// A single `put`.
+    Put,
+    /// A `put_batch` of this many shards.
+    PutBatch(usize),
 }
 
 impl RecordingStore {
@@ -227,6 +240,11 @@ impl RecordingStore {
         self.log.lock().clone()
     }
 
+    /// The write calls served, in order.
+    pub fn calls(&self) -> Vec<StoreCall> {
+        self.calls.lock().clone()
+    }
+
     /// Materializes the first `n` puts into a fresh in-memory store (the
     /// state a crash after put `n` would leave behind).
     pub fn prefix(&self, n: usize) -> MemoryObjectStore {
@@ -236,13 +254,25 @@ impl RecordingStore {
         }
         store
     }
+
+    fn record(&self, key: &ShardKey, payload: Bytes) -> Result<(), StoreError> {
+        self.inner.put(key, payload.clone())?;
+        self.log.lock().push((key.clone(), payload));
+        Ok(())
+    }
 }
 
 impl ObjectStore for RecordingStore {
     fn put(&self, key: &ShardKey, payload: Bytes) -> Result<(), StoreError> {
-        self.inner.put(key, payload.clone())?;
-        self.log.lock().push((key.clone(), payload));
-        Ok(())
+        self.calls.lock().push(StoreCall::Put);
+        self.record(key, payload)
+    }
+
+    fn put_batch(&self, batch: &[BatchShard]) -> Result<(), StoreError> {
+        self.calls.lock().push(StoreCall::PutBatch(batch.len()));
+        batch
+            .iter()
+            .try_for_each(|shard| self.record(&shard.key, shard.payload.clone()))
     }
 
     fn get(&self, key: &ShardKey) -> Result<Option<Bytes>, StoreError> {

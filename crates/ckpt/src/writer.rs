@@ -5,11 +5,17 @@
 //! [`crate::engine::CkptEngine`] worker and by synchronous callers (the
 //! training-lab checkpointer). One [`ShardWriter::persist`] call writes
 //! one checkpoint batch: every shard payload first (full or
-//! delta-encoded), then the [`crate::manifest::ManifestEntry`] that
-//! commits them. A crash — or an injected store failure — between shard
-//! writes leaves orphans that no manifest references and **no** writer
-//! state changes, so the chain's last committed checkpoint stays
+//! delta-encoded) as one [`ObjectStore::put_batch`], then — a separate,
+//! later `put` — the [`crate::manifest::ManifestEntry`] that commits
+//! them. A crash — or an injected store failure — between or during
+//! shard writes leaves orphans that no manifest references and **no**
+//! writer state changes, so the chain's last committed checkpoint stays
 //! recoverable bit-for-bit.
+//!
+//! Each checksum is computed once and carried: the raw payload's CRC
+//! (dedup key, delta header, and the stored CRC of a full shard), the
+//! delta base's CRC (kept with the base) and the stored CRC (manifest
+//! record and, through [`BatchShard`], the store's frame header).
 
 use crate::config::EngineConfig;
 use crate::delta;
@@ -17,7 +23,7 @@ use crate::manifest::{manifest_module, ManifestEntry, ShardKind, ShardRecord};
 use crate::pool::BufferPool;
 use bytes::Bytes;
 use moc_store::frame::crc32;
-use moc_store::{ObjectStore, ShardKey, StatePart, StoreError};
+use moc_store::{BatchShard, ObjectStore, ShardKey, StatePart, StoreError};
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -84,8 +90,11 @@ impl WriterStats {
 struct BaseState {
     /// Version of the last committed full shard.
     version: u64,
-    /// Its payload (shared so staging a delta does not copy it).
-    bytes: Arc<Vec<u8>>,
+    /// Its payload: the very buffer that was handed to the store, shared
+    /// by refcount.
+    bytes: Bytes,
+    /// CRC of that payload.
+    crc: u32,
     /// Consecutive deltas committed against it.
     deltas_since: u64,
     /// Version of the slot's last committed write (full or delta).
@@ -194,6 +203,7 @@ impl ShardWriter {
     ) -> Result<(), StoreError> {
         let mut records: Vec<ShardRecord> = Vec::new();
         let mut staged: HashMap<(String, StatePart), BaseState> = HashMap::new();
+        let mut puts: Vec<BatchShard> = Vec::new();
         let mut batch = WriterStats::default();
 
         for (key, raw) in shards {
@@ -214,38 +224,38 @@ impl ShardWriter {
 
             // Delta-eligible: a strictly older committed base exists, the
             // rebase budget allows another delta, and encoding pays off.
-            let mut encoded: Option<(Bytes, u64)> = None;
-            if self.config.delta && self.config.rebase_interval > 1 {
-                if let Some(b) = base {
-                    if b.version < key.version && b.deltas_since < self.config.rebase_interval - 1 {
-                        let mut scratch = self.pool.acquire();
-                        let t0 = Instant::now();
-                        let ok = delta::encode_into(&b.bytes, raw, b.version, &mut scratch);
-                        batch.encode_secs += t0.elapsed().as_secs_f64();
-                        if ok {
-                            encoded = Some((Bytes::copy_from_slice(&scratch), b.version));
-                        }
-                    }
-                }
-            }
+            let delta_base = base.filter(|b| {
+                self.config.delta
+                    && b.version < key.version
+                    && b.deltas_since + 1 < self.config.rebase_interval
+            });
+            let encoded = delta_base.and_then(|b| {
+                let mut scratch = self.pool.acquire();
+                let t0 = Instant::now();
+                let ok =
+                    delta::encode_with_crcs(&b.bytes, b.crc, raw, raw_crc, b.version, &mut scratch);
+                batch.encode_secs += t0.elapsed().as_secs_f64();
+                ok.then(|| (Bytes::copy_from_slice(&scratch), b))
+            });
 
-            let (stored, kind, base_meta) = match encoded {
-                Some((delta_bytes, base_version)) => {
-                    let b = base.expect("delta implies base");
+            let (stored, stored_crc, kind, next_base) = match encoded {
+                Some((delta_bytes, b)) => {
                     batch.delta_shards += 1;
-                    let meta = (b.version, b.bytes.clone(), b.deltas_since + 1);
-                    (delta_bytes, ShardKind::Delta { base_version }, meta)
+                    let crc = crc32(&delta_bytes);
+                    let kind = ShardKind::Delta {
+                        base_version: b.version,
+                    };
+                    let next = (b.version, b.bytes.clone(), b.crc, b.deltas_since + 1);
+                    (delta_bytes, crc, kind, next)
                 }
                 None => {
                     batch.full_shards += 1;
                     if base.is_some() {
                         batch.rebases += 1;
                     }
-                    (
-                        Bytes::copy_from_slice(raw),
-                        ShardKind::Full,
-                        (key.version, Arc::new(raw.to_vec()), 0),
-                    )
+                    let full = Bytes::copy_from_slice(raw);
+                    let next = (key.version, full.clone(), raw_crc, 0);
+                    (full, raw_crc, ShardKind::Full, next)
                 }
             };
 
@@ -254,25 +264,33 @@ impl ShardWriter {
             let record = ShardRecord {
                 key: key.clone(),
                 kind,
-                stored_crc: crc32(&stored),
+                stored_crc,
                 stored_len: stored.len() as u64,
                 raw_len: raw.len() as u64,
             };
-            let (base_version, base_bytes, deltas_since) = base_meta;
+            let (version, bytes, crc, deltas_since) = next_base;
             let next_state = BaseState {
-                version: base_version,
-                bytes: base_bytes,
+                version,
+                bytes,
+                crc,
                 deltas_since,
                 last_version: key.version,
                 last_crc: raw_crc,
                 last_record: record.clone(),
             };
             records.push(record);
-            let t0 = Instant::now();
-            self.store.put(key, stored)?;
-            batch.persist_secs += t0.elapsed().as_secs_f64();
+            puts.push(BatchShard {
+                key: key.clone(),
+                payload: stored,
+                crc: stored_crc,
+            });
             staged.insert(slot, next_state);
         }
+
+        let t0 = Instant::now();
+        self.store.put_batch(&puts)?;
+        drop(puts); // the batch's delta payloads are not needed past here
+        batch.persist_secs += t0.elapsed().as_secs_f64();
 
         // Commit point: the manifest goes in only after every shard write
         // succeeded. Anything before a crash here is an orphan the chain
@@ -606,6 +624,41 @@ mod tests {
             Some(10)
         );
         assert_eq!(&chain.get(&k1).unwrap().unwrap()[..], &p1[..]);
+    }
+
+    /// Whatever the batch holds — fulls, deltas, dedup skips, nothing at
+    /// all — a persist is exactly one `put_batch` of the shards it
+    /// writes, then one `put` of the manifest that commits them.
+    #[test]
+    fn persist_is_one_batch_then_one_manifest_put() {
+        use crate::testing::{RecordingStore, StoreCall};
+        let recording = Arc::new(RecordingStore::new());
+        let mut w = ShardWriter::new(0, recording.clone(), EngineConfig::default());
+        let key = |m: &str, v: u64| ShardKey::new(m, StatePart::Weights, v);
+        let (p1, p2) = (payload(1, 128), payload(2, 128));
+        let (a10, b10, c10) = (key("a", 10), key("b", 10), key("c", 10));
+        w.persist(10, [(&a10, &p1[..]), (&b10, &p1[..]), (&c10, &p1[..])])
+            .unwrap();
+        // Version 20: `a` deltas, `b` is re-sent unchanged under its old
+        // key (dedup: no write), `c` is absent.
+        let a20 = key("a", 20);
+        w.persist(20, [(&a20, &p2[..]), (&b10, &p1[..])]).unwrap();
+        w.persist(30, std::iter::empty()).unwrap();
+        assert_eq!(
+            recording.calls(),
+            vec![
+                StoreCall::PutBatch(3),
+                StoreCall::Put,
+                StoreCall::PutBatch(1),
+                StoreCall::Put,
+                StoreCall::PutBatch(0),
+                StoreCall::Put,
+            ]
+        );
+        let log = recording.log();
+        assert_eq!(log.len(), 4 + 3, "four shards, three manifests");
+        assert_eq!(w.stats().dedup_skips, 1);
+        assert_eq!(w.stats().delta_shards, 1);
     }
 
     /// A re-committed version (re-executed checkpoint iteration after a

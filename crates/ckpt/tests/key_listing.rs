@@ -1,6 +1,6 @@
 //! Key listing and recovery *planning* must not scale with stored
-//! payload bytes: `FileObjectStore::scan` reads frame headers only, and
-//! `ChainStore::load` — which lists keys and decodes manifests —
+//! payload bytes: `FileObjectStore` lists keys from an index it builds
+//! from frame headers only, and `ChainStore::load` — which lists keys and decodes manifests —
 //! fetches manifest payloads but never shard payloads. The
 //! [`CountingStore`] wrapper observes every `get` crossing the store
 //! boundary, so the property is checked literally.

@@ -306,7 +306,11 @@ fn check_ckpt_flows(graph: &CausalGraph, report: &mut AuditReport) {
     }
 }
 
-/// Serialization slack: ts/dur are exported at nanosecond resolution.
+/// Serialization slack: ts/dur are exported at nanosecond resolution
+/// and rounded independently, so a re-ingested boundary can sit a
+/// nanosecond off either way. It applies to both sides of the check:
+/// to a child's end against its parent's, and to deciding whether a
+/// span starts inside the span before it at all.
 const NESTING_SLACK_SECS: f64 = 1e-6;
 
 fn check_span_nesting(graph: &CausalGraph, report: &mut AuditReport) {
@@ -319,7 +323,7 @@ fn check_span_nesting(graph: &CausalGraph, report: &mut AuditReport) {
         let mut open: Vec<&CausalEvent> = Vec::new();
         for s in spans {
             while let Some(top) = open.last() {
-                if s.start_secs >= top.end_secs() {
+                if s.start_secs >= top.end_secs() - NESTING_SLACK_SECS {
                     open.pop();
                 } else {
                     break;
@@ -627,6 +631,42 @@ mod tests {
         let report = audit(&graph, None, &AuditConfig::default());
         let slugs: Vec<&str> = report.violations.iter().map(|v| v.invariant).collect();
         assert_eq!(slugs, ["span-nesting"]);
+    }
+
+    /// Two siblings whose shared boundary was rounded apart by one
+    /// nanosecond (`recovery-plan` → `recovery-fetch` after a Chrome
+    /// trace round trip) are siblings, not a child overrunning its
+    /// parent.
+    #[test]
+    fn siblings_overlapping_by_a_rounding_nanosecond_are_not_nested() {
+        let events = vec![
+            ev(
+                0,
+                "recovery-plan",
+                SpanKind::Fault,
+                3,
+                1,
+                2.303_340,
+                0.000_020_001,
+                Flow::None,
+            ),
+            // Starts 1 ns before its sibling ends, ends 38 ms after it.
+            ev(
+                0,
+                "recovery-fetch",
+                SpanKind::Fault,
+                3,
+                2,
+                2.303_360,
+                0.037_940,
+                Flow::None,
+            ),
+        ];
+        assert!(events[1].start_secs < events[0].end_secs());
+        assert!(events[0].end_secs() - events[1].start_secs < 2e-9);
+        let graph = CausalGraph::from_causal(events);
+        let report = audit(&graph, None, &AuditConfig::default());
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!    are keyed by `(epoch, iteration)` where the epoch increments at
 //!    every `recovery` span — re-executed iterations get their own
 //!    window instead of smearing across the fault.
-//! 2. Each window `[min start, max end]` is cut at every span boundary;
+//! 2. Each window runs from its earliest span start to its latest span
+//!    end, or to the start of the next window in time if that comes
+//!    first — windows never overlap, so no instant is blamed twice —
+//!    and is cut at every span boundary;
 //!    every elementary slice is attributed to exactly one
 //!    [`BlameCategory`]: the highest-priority span active during the
 //!    slice (ties to the innermost, i.e. latest-started, span), or
@@ -477,14 +480,40 @@ pub fn analyze(events: &[TraceEvent], telemetry: Option<&[TelemetrySample]>) -> 
             });
     }
 
+    // Windows are meant to tile the run, but their raw extents
+    // `[min start, max end]` overlap: ranks drift a little out of phase,
+    // and one span tagged with a stale iteration (a respawned rank's
+    // `restore-apply` still carries iteration 0) stretches its window
+    // across every window in between. An instant belongs to the latest
+    // window to have started by then: in start order, each window is cut
+    // off where the next one starts, so no instant is blamed twice and
+    // the windows' wall times sum to at most the run's.
+    let mut extents: Vec<(f64, f64, (u64, u64))> = windows
+        .iter()
+        .map(|(key, spans)| {
+            let start = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
+            let end = spans
+                .iter()
+                .map(|s| s.end)
+                .fold(f64::NEG_INFINITY, f64::max);
+            (start, end, *key)
+        })
+        .collect();
+    extents.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
+    let mut clipped: BTreeMap<(u64, u64), (f64, f64)> = BTreeMap::new();
+    for (i, &(start, end, key)) in extents.iter().enumerate() {
+        let next_start = extents.get(i + 1).map_or(f64::INFINITY, |next| next.0);
+        clipped.insert(key, (start, end.min(next_start)));
+    }
+
     let mut report = BlameReport::default();
-    for ((epoch, iteration), spans) in &windows {
-        let window_start = spans.iter().map(|s| s.start).fold(f64::INFINITY, f64::min);
-        let window_end = spans
+    for (key @ (epoch, iteration), spans) in &windows {
+        let (window_start, window_end) = clipped[key];
+        let mut boundaries: Vec<f64> = spans
             .iter()
-            .map(|s| s.end)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut boundaries: Vec<f64> = spans.iter().flat_map(|s| [s.start, s.end]).collect();
+            .flat_map(|s| [s.start, s.end])
+            .map(|t| t.min(window_end))
+            .collect();
         boundaries.sort_by(f64::total_cmp);
         boundaries.dedup();
         let mut attributed = [0.0f64; CATEGORY_COUNT];
@@ -677,6 +706,61 @@ mod tests {
         assert_eq!(report.incidents[0].kind, IncidentKind::Recovery);
         assert_eq!(report.incidents[0].iteration, 2);
         assert!(report.incidents[0].disruption_secs >= 1.0);
+    }
+
+    /// A trace with a recovery in which a respawned rank's
+    /// `restore-apply` still carries iteration 0: window (0, 0) would
+    /// stretch from the bootstrap to the restore, over every epoch-0
+    /// iteration. Clipped, the windows' wall times sum to no more than
+    /// the run's, each instant keeps the blame of the window it falls
+    /// in, and the compute inside the stretched window stays compute.
+    #[test]
+    fn windows_never_overlap_across_a_rollback() {
+        let mut events = vec![span(0, "ckpt-serialize", SpanKind::Ckpt, 0, 0.0, 0.5)];
+        // Epoch 0: iterations 1–4, one second each, two ranks slightly
+        // out of phase (rank 1 starts the next iteration 50 ms early).
+        for it in 1..=4u64 {
+            let t = it as f64;
+            events.push(span(0, "compute", SpanKind::Phase, it, t, 1.0));
+            events.push(span(1, "compute", SpanKind::Phase, it, t - 0.05, 1.0));
+        }
+        // The fault: iteration 4 aborts, detection + recovery take 3 s,
+        // the respawned rank restores under its stale iteration 0.
+        events.push(span(2, "recovery", SpanKind::Fault, 4, 5.0, 3.0));
+        events.push(span(1, "restore-apply", SpanKind::Fault, 0, 7.5, 0.4));
+        // Epoch 1 replays 3–4.
+        for it in 3..=4u64 {
+            let t = 5.0 + it as f64;
+            events.push(span(0, "compute", SpanKind::Phase, it, t, 1.0));
+            events.push(span(1, "compute", SpanKind::Phase, it, t, 1.0));
+        }
+        let loop_wall = 10.0;
+        let report = analyze(&events, None);
+        let sorted = {
+            let mut rows: Vec<&IterationBlame> = report.iterations.iter().collect();
+            rows.sort_by(|a, b| a.start_secs.total_cmp(&b.start_secs));
+            rows
+        };
+        for pair in sorted.windows(2) {
+            assert!(
+                pair[0].start_secs + pair[0].wall_secs <= pair[1].start_secs + 1e-9,
+                "windows overlap: {pair:?}"
+            );
+        }
+        assert!(
+            report.total_wall_secs <= loop_wall * 1.05,
+            "Σ window wall {} exceeds the run's {loop_wall}",
+            report.total_wall_secs
+        );
+        let attributed: f64 = report.aggregate.iter().sum();
+        assert!((attributed - report.total_wall_secs).abs() < 1e-9);
+        // 4 + 2 iterations of compute survive the stretched window...
+        let compute = report.aggregate_secs(BlameCategory::Compute);
+        assert!((compute - 6.0).abs() < 0.11, "compute {compute}");
+        // ...and the fault is blamed once, on the recovery.
+        let recovery = report.aggregate_secs(BlameCategory::Recovery);
+        assert!((recovery - 3.0).abs() < 1e-9, "recovery {recovery}");
+        assert!(report.aggregate_secs(BlameCategory::Idle) < 0.6);
     }
 
     #[test]

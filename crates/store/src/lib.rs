@@ -48,6 +48,6 @@ pub use chaos::{ChaosStore, OutagePath, StoreFaultPlan, StoreOutage};
 pub use failure::{FaultEvent, FaultPlan};
 pub use key::{ShardKey, StatePart};
 pub use memory::{ClusterMemory, NodeId, NodeMemoryStore};
-pub use object::{FileObjectStore, MemoryObjectStore, ObjectStore, StoreError};
+pub use object::{BatchShard, FileObjectStore, MemoryObjectStore, ObjectStore, StoreError};
 pub use retry::{RetryPolicy, RetryStore};
 pub use tier::{StorageHierarchy, TierLink, GB, GIB};

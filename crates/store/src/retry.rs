@@ -14,7 +14,7 @@
 //! shorter than the retry budget is fully absorbed, a longer one
 //! surfaces the same typed error every time.
 
-use crate::object::{ObjectStore, StoreError};
+use crate::object::{BatchShard, ObjectStore, StoreError};
 use crate::{ShardKey, StatePart};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,6 +148,13 @@ impl RetryStore {
 impl ObjectStore for RetryStore {
     fn put(&self, key: &ShardKey, payload: Bytes) -> Result<(), StoreError> {
         self.run("put", || self.inner.put(key, payload.clone()))
+    }
+
+    /// One retried operation: a failed attempt re-issues the whole
+    /// batch (stores overwrite identical keys, so the shards that did
+    /// land are simply stored again).
+    fn put_batch(&self, batch: &[BatchShard]) -> Result<(), StoreError> {
+        self.run("put_batch", || self.inner.put_batch(batch))
     }
 
     fn get(&self, key: &ShardKey) -> Result<Option<Bytes>, StoreError> {

@@ -466,6 +466,15 @@ fn incidents_attribute_fault_latency() {
         blame.iterations.iter().any(|w| w.epoch == 1),
         "post-recovery windows carry the next epoch"
     );
+    // ...nor across windows: the respawned rank's `restore-apply` still
+    // carries iteration 0 and would stretch window (0, 0) over all of
+    // epoch 0, blaming every instant of it twice.
+    assert!(
+        blame.total_wall_secs <= 1.05 * summary.loop_secs,
+        "blame windows cover {:.6}s of a {:.6}s loop",
+        blame.total_wall_secs,
+        summary.loop_secs
+    );
     let blame_path = summary.obs.blame_path.as_ref().expect("blame.json path");
     let doc = Json::parse(&std::fs::read_to_string(blame_path).expect("blame.json written"))
         .expect("valid JSON");
