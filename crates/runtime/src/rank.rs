@@ -331,11 +331,11 @@ pub(crate) fn load_grads(store: &mut ParamStore, grad: &[f32]) {
 
 /// Flattens every parameter value in registration order.
 pub(crate) fn flatten_values(store: &ParamStore) -> Vec<f32> {
-    store
-        .params()
-        .iter()
-        .flat_map(|p| p.value.data().iter().copied())
-        .collect()
+    let mut out = Vec::with_capacity(store.scalar_count() as usize);
+    for p in store.params() {
+        out.extend_from_slice(p.value.data());
+    }
+    out
 }
 
 /// CRC-32 over the little-endian bit pattern of a parameter vector, used
@@ -401,12 +401,16 @@ pub(crate) fn run_rank(ctx: RankContext) {
     // Collective endpoints and the flattened-gradient / CRC buffers
     // persist across iterations: the gradient buffer is the rank's only
     // gradient-sized scratch and is never reallocated after the first
-    // step.
+    // step. The same holds for the gradient of each adopted dead slice
+    // while the run is shrunk: allocated on the first degraded step,
+    // reused until the next `Reconfigure` drops them (a star step ships
+    // them to the coordinator, so the fallback window reallocates).
     let mut ring: Option<RingEndpoints> = None;
     let mut adopted_rings: Vec<(usize, RingEndpoints)> = Vec::new();
     let mut hier: Option<HierEndpoints> = None;
     let mut groups: Option<GroupEndpoints> = None;
     let mut grad_buf: Vec<f32> = Vec::new();
+    let mut adopted: Vec<AdoptedGrad> = Vec::new();
     let mut crc_buf: Vec<u8> = Vec::new();
     // Commands without an iteration of their own (Apply, Eval, Restore,
     // ExportState) are traced under the last stepped iteration.
@@ -529,21 +533,24 @@ pub(crate) fn run_rank(ctx: RankContext) {
                 // gradients are bitwise what the dead ranks would have
                 // produced — the coordinator folds them at the dead DP
                 // positions and the trajectory matches the fixed shape.
-                let mut adopted: Vec<AdoptedGrad> = Vec::with_capacity(adopted_slices.len());
-                for &d in &adopted_slices {
+                if adopted.len() != adopted_slices.len() {
+                    adopted = (adopted_slices.iter())
+                        .map(|&dp| AdoptedGrad {
+                            dp,
+                            grad: Vec::new(),
+                            expert_loads: Vec::new(),
+                        })
+                        .collect();
+                }
+                for a in &mut adopted {
                     model.store_mut().zero_grads();
-                    let alo = d * per;
+                    let alo = a.dp * per;
                     let astats = model.forward_backward(
                         &global[alo..alo + per],
-                        noise_seed(cfg.seed, iteration, d),
+                        noise_seed(cfg.seed, iteration, a.dp),
                     );
-                    let mut grad = Vec::new();
-                    flatten_grads_into(model.store(), &mut grad);
-                    adopted.push(AdoptedGrad {
-                        dp: d,
-                        grad,
-                        expert_loads: astats.expert_loads,
-                    });
+                    flatten_grads_into(model.store(), &mut a.grad);
+                    a.expert_loads = astats.expert_loads;
                 }
                 let compute_secs = start.elapsed().as_secs_f64();
                 ctx.telemetry.add_secs(Counter::ComputeNanos, compute_secs);
@@ -632,7 +639,7 @@ pub(crate) fn run_rank(ctx: RankContext) {
                             tp_consistent,
                             tp_sync_secs,
                             pp_wait_secs,
-                            adopted,
+                            adopted: std::mem::take(&mut adopted),
                         });
                     }
                     CollectiveKind::Ring | CollectiveKind::Hierarchical => {
@@ -745,8 +752,8 @@ pub(crate) fn run_rank(ctx: RankContext) {
                                     tp_sync_secs,
                                     pp_wait_secs,
                                     adopted_loads: adopted
-                                        .into_iter()
-                                        .map(|a| a.expert_loads)
+                                        .iter_mut()
+                                        .map(|a| std::mem::take(&mut a.expert_loads))
                                         .collect(),
                                 });
                             }
@@ -789,6 +796,7 @@ pub(crate) fn run_rank(ctx: RankContext) {
             } => {
                 owned = (*new_owned).clone();
                 adopted_slices = (*new_slices).clone();
+                adopted.clear();
             }
             RankCommand::ExportState => {
                 let export_trace = sink.now();

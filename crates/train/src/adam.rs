@@ -37,6 +37,8 @@ impl Default for AdamConfig {
 /// Applies one Adam step over every parameter with a non-zero gradient
 /// footprint, then zeroes gradients. Returns the pre-clip gradient norm.
 pub fn adam_step(store: &mut ParamStore, cfg: &AdamConfig) -> f32 {
+    // The global norm is the one reduction whose order *is* the result:
+    // per-tensor serial sums, folded in registration order.
     let mut sq = 0.0f32;
     for p in store.params() {
         sq += p.grad.sq_norm();
@@ -51,23 +53,21 @@ pub fn adam_step(store: &mut ParamStore, cfg: &AdamConfig) -> f32 {
         p.steps += 1;
         let bc1 = 1.0 - cfg.beta1.powi(p.steps as i32);
         let bc2 = 1.0 - cfg.beta2.powi(p.steps as i32);
-        let g_iter = p.grad.data().iter();
-        for ((g, m), v) in g_iter
+        // One pass per tensor: moments, bias-corrected update and gradient
+        // zeroing are elementwise, so fusing them changes no value.
+        let elems = (p.value.data_mut().iter_mut())
+            .zip(p.grad.data_mut().iter_mut())
             .zip(p.m.data_mut().iter_mut())
-            .zip(p.v.data_mut().iter_mut())
-        {
-            let g = g * scale;
-            *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
-            *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
+            .zip(p.v.data_mut().iter_mut());
+        for (((x, g), m), v) in elems {
+            let gs = *g * scale;
+            *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * gs;
+            *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * gs * gs;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *x -= cfg.lr * m_hat / (v_hat.sqrt() + cfg.eps);
+            *g = 0.0;
         }
-        // Second pass applies the update (split to appease the borrow
-        // checker without cloning the gradient).
-        for i in 0..p.value.len() {
-            let m_hat = p.m.data()[i] / bc1;
-            let v_hat = p.v.data()[i] / bc2;
-            p.value.data_mut()[i] -= cfg.lr * m_hat / (v_hat.sqrt() + cfg.eps);
-        }
-        p.grad.fill_zero();
     }
     norm
 }

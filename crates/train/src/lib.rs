@@ -36,6 +36,8 @@ pub mod data;
 pub mod harness;
 pub mod model;
 pub mod params;
+#[cfg(test)]
+mod reference;
 pub mod tensor;
 
 pub use adam::{adam_step, AdamConfig};

@@ -1,9 +1,31 @@
 //! Minimal dense-matrix kernel for the training lab.
 //!
 //! The lab needs exactly the operations a manual-backprop MoE transformer
-//! uses: matmul (plain, A·Bᵀ and Aᵀ·B variants for gradients), elementwise
-//! combinators, and a numerically stable softmax/cross-entropy pair. All
-//! storage is row-major `f32`.
+//! uses: one matrix product, elementwise combinators, and a numerically
+//! stable softmax/cross-entropy pair. All storage is row-major `f32`.
+//!
+//! # The contract: reduction order is part of the result
+//!
+//! Every bitwise-identity test in this workspace (faulty run ≡ fault-free
+//! run, ring ≡ star, recovered ≡ never failed) and the committed
+//! `golden_bits` digests compare float bit patterns, and float addition
+//! does not associate. So a kernel here may change *which index is the
+//! SIMD lane*, never *the order of adds into one output element*: each
+//! `out[i][j]` is `Σ_k a[i][k]·b[k][j]` accumulated from `0.0` with `k`
+//! ascending, one rounded multiply and one rounded add per term, no FMA,
+//! no partial sums.
+//!
+//! [`gemm`] is the only product loop. Its reduction index `k` is the
+//! *outer* loop and the contiguous output index `j` the inner one, so the
+//! compiler vectorises across `j` — independent accumulators — with plain
+//! safe code, while each accumulator still sees its terms in order. A
+//! product against a transposed operand (`x·Wᵀ`, every input-gradient in
+//! the backward pass and the tied LM head) written the obvious way is a
+//! serial dot product per output element, whose `acc += a·b` chain cannot
+//! be vectorised without reordering; running the same kernel against a
+//! [`Matrix::transposed`] copy of `W` gives every element the identical
+//! add sequence with `j` as the lane. That is why the model keeps
+//! per-pass transposes of its weights, and the only reason.
 
 use serde::{Deserialize, Serialize};
 
@@ -89,63 +111,44 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` (`[m,k]·[k,n] → [m,n]`).
+    /// `self · other` (`[m,k]·[k,n] → [m,n]`), skipping the terms of
+    /// exactly-zero entries of `self` (post-ReLU activations are half
+    /// zeros).
     ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.product(other, true)
+    }
+
+    /// `self · other` with every term added, zero or not — the sequence a
+    /// dot product per element performs. Called with a
+    /// [`transposed`](Self::transposed) weight it computes `self · Wᵀ`.
+    pub fn matmul_dense(&self, other: &Matrix) -> Matrix {
+        self.product(other, false)
+    }
+
+    fn product(&self, other: &Matrix, skip_zero: bool) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.at(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm(
+            &mut out.data,
+            &self.data,
+            &other.data,
+            other.cols,
+            skip_zero,
+        );
         out
     }
 
-    /// `self · otherᵀ` (`[m,k]·[n,k]ᵀ → [m,n]`).
-    pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_t inner dims");
-        let mut out = Matrix::zeros(self.rows, other.rows);
+    /// The transposed copy (`[m,n] → [n,m]`). `aᵀ·b` is
+    /// `a.transposed().matmul(b)`.
+    pub fn transposed(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..other.rows {
-                let brow = other.row(j);
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *out.at_mut(i, j) = acc;
-            }
-        }
-        out
-    }
-
-    /// `selfᵀ · other` (`[k,m]ᵀ·[k,n] → [m,n]`), the weight-gradient shape.
-    pub fn transposed_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "t_matmul inner dims");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let arow = self.row(k);
-            let brow = other.row(k);
-            for (i, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
+            for (j, &x) in self.row(i).iter().enumerate() {
+                out.data[j * self.rows + i] = x;
             }
         }
         out
@@ -167,6 +170,40 @@ impl Matrix {
     /// Sum of squared elements.
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum()
+    }
+}
+
+/// The one product kernel: `out[i][:] += Σ_k a[i][k] · b[k][:]` with `k`
+/// ascending, for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`.
+///
+/// `out` is accumulated into, not overwritten, so a caller can start a row
+/// from a bias; `k = 1` makes it the outer-product update
+/// `out[i][:] += a[i] · b[:]` of a weight gradient. With `skip_zero` the
+/// terms of exactly-zero `a[i][k]` are not added at all (post-ReLU rows
+/// are half zeros); without it every term is, as a dot product would.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not describe such a product.
+pub fn gemm(out: &mut [f32], a: &[f32], b: &[f32], n: usize, skip_zero: bool) {
+    assert!(n > 0, "gemm shape");
+    let (m, k) = (out.len() / n, b.len() / n);
+    assert!(
+        out.len() == m * n && b.len() == k * n && a.len() == m * k,
+        "gemm shape"
+    );
+    if k == 0 {
+        return;
+    }
+    for (orow, arow) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if skip_zero && av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
+            }
+        }
     }
 }
 
@@ -238,37 +275,91 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
-    #[test]
-    fn matmul_transposed_matches_explicit_transpose() {
-        let a = m(2, 3, &[1.0, 0.5, -1.0, 2.0, 1.5, 0.0]);
-        let b = m(
-            4,
-            3,
-            &[1.0, 2.0, 3.0, 0.0, 1.0, 0.0, -1.0, 0.5, 2.0, 1.0, 1.0, 1.0],
-        );
-        let direct = a.matmul_transposed(&b);
-        // Explicit transpose of b.
-        let mut bt = Matrix::zeros(3, 4);
-        for i in 0..4 {
-            for j in 0..3 {
-                *bt.at_mut(j, i) = b.at(i, j);
-            }
-        }
-        assert_eq!(direct, a.matmul(&bt));
+    /// Values whose products and partial sums all round, so a changed add
+    /// order shows up in the low bits.
+    fn awkward(rows: usize, cols: usize, salt: u32) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|i| {
+                let x = (i as u32).wrapping_mul(2_654_435_761).wrapping_add(salt) >> 8;
+                (x % 2001) as f32 * 1e-3 - 1.0
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
     }
 
     #[test]
-    fn transposed_matmul_matches_explicit() {
-        let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = m(3, 2, &[0.5, 1.0, -1.0, 0.0, 2.0, 2.0]);
-        let direct = a.transposed_matmul(&b);
-        let mut at = Matrix::zeros(2, 3);
-        for i in 0..3 {
-            for j in 0..2 {
-                *at.at_mut(j, i) = a.at(i, j);
+    fn dense_product_against_a_transposed_copy_is_the_serial_dot_bitwise() {
+        // `a · bᵀ` written the obvious way: one serial dot product per
+        // output element.
+        let a = awkward(5, 37, 1);
+        let b = awkward(11, 37, 2);
+        let fast = a.matmul_dense(&b.transposed());
+        for i in 0..5 {
+            for j in 0..11 {
+                let mut acc = 0.0f32;
+                for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                assert_eq!(fast.at(i, j).to_bits(), acc.to_bits(), "({i},{j})");
             }
         }
-        assert_eq!(direct, at.matmul(&b));
+    }
+
+    #[test]
+    fn transposed_then_matmul_is_the_weight_gradient_product_bitwise() {
+        // `aᵀ · b` written without a transpose: the shared row index
+        // outermost, zero entries of `a` skipped.
+        let mut a = awkward(9, 6, 3);
+        *a.at_mut(4, 2) = 0.0;
+        let b = awkward(9, 13, 4);
+        let mut expect = Matrix::zeros(6, 13);
+        for k in 0..9 {
+            for i in 0..6 {
+                if a.at(k, i) == 0.0 {
+                    continue;
+                }
+                for j in 0..13 {
+                    *expect.at_mut(i, j) += a.at(k, i) * b.at(k, j);
+                }
+            }
+        }
+        let got = a.transposed().matmul(&b);
+        let bits = |m: &Matrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect));
+    }
+
+    #[test]
+    fn gemm_accumulates_onto_a_bias_and_does_outer_products() {
+        // Row started from a bias: bias first, then the terms in order.
+        let mut out = vec![10.0f32, 20.0];
+        gemm(
+            &mut out,
+            &[1.0, 2.0, 3.0],
+            &[1.0, 0.5, 2.0, 1.0, 3.0, 1.5],
+            2,
+            false,
+        );
+        assert_eq!(out, [10.0 + 1.0 + 4.0 + 9.0, 20.0 + 0.5 + 2.0 + 4.5]);
+        // k = 1: out[i][:] += a[i]·b[:], rows of zero a[i] untouched.
+        let mut grad = vec![1.0f32; 6];
+        gemm(&mut grad, &[2.0, 0.0, -1.0], &[0.5, 4.0], 2, true);
+        assert_eq!(grad, [2.0, 9.0, 1.0, 1.0, 0.5, -3.0]);
+    }
+
+    #[test]
+    fn skip_zero_only_differs_on_non_finite_operands() {
+        let a = m(1, 2, &[0.0, 1.0]);
+        let b = m(2, 1, &[f32::INFINITY, 2.0]);
+        assert_eq!(a.matmul(&b).data(), &[2.0]);
+        assert!(a.matmul_dense(&b).data()[0].is_nan());
+    }
+
+    #[test]
+    fn transposed_handles_degenerate_shapes() {
+        assert_eq!(Matrix::zeros(0, 3).transposed(), Matrix::zeros(3, 0));
+        assert_eq!(Matrix::zeros(3, 0).transposed(), Matrix::zeros(0, 3));
+        let t = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).transposed();
+        assert_eq!(t, m(3, 2, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]));
     }
 
     #[test]

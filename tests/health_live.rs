@@ -34,9 +34,9 @@ fn gray_then_dead() -> RuntimeConfig {
         i_ckpt: 4,
         eval_every: 6,
         seq_len: 16,
-        // The tiny model computes ~300 ms per iteration, so a 3×
-        // straggler stalls its peers ~600 ms per step: the window must
-        // dwarf that or the gray rank trips the ring's abort path
+        // The tiny model computes ~300 ms per iteration (debug profile),
+        // so a 3× straggler stalls its peers ~600 ms per step: the window
+        // must dwarf that or the gray rank trips the ring's abort path
         // (collective_live's straggler tests pick the same margin).
         heartbeat_timeout: Duration::from_secs(4),
         detector: DetectorConfig {
