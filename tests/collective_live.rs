@@ -43,6 +43,57 @@ fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|x| x.to_bits()).collect()
 }
 
+/// FNV-1a-64 over the bits of a run's final parameters — the scheme of
+/// `crates/train/tests/golden_bits.rs`, applied to a whole live run.
+fn digest(params: &[f32]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for x in params {
+        for b in x.to_bits().to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// Committed digest of `base_config`'s final parameters. Recorded from
+/// the coordinator-star collective of commit `03e28c9`, where the ring
+/// run hashed equal; every collective must keep reproducing it
+/// unedited, in the dev and the release profile.
+const BASE_DIGEST: u64 = 0x9cb8_e6f6_3174_70d7;
+
+/// Committed digests of the three shapes of
+/// `hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes`,
+/// recorded the same way.
+const SHAPE_DIGESTS: [u64; 3] = [
+    0x9cb8_e6f6_3174_70d7,
+    0x539a_37ef_1d2e_acea,
+    0x9cb8_e6f6_3174_70d7,
+];
+
+/// Fails with the observed digest, so a deliberate change of numerics
+/// re-blesses with a one-line diff the change has to explain.
+fn assert_digest(what: &str, params: &[f32], committed: u64) {
+    let observed = digest(params);
+    assert_eq!(
+        observed, committed,
+        "{what}: final-parameter digest is {observed:#018x}, committed {committed:#018x} — \
+         the run left its committed trajectory; if that is deliberate, paste the observed \
+         digest and explain it"
+    );
+}
+
+/// Cross-commit anchor: the ring run of `base_config` ends on the
+/// committed final-parameter digest.
+#[test]
+fn ring_run_matches_committed_digest() {
+    let star = run(base_config(CollectiveKind::Star));
+    assert_digest("star", &star.final_params, BASE_DIGEST);
+    let ring = run(base_config(CollectiveKind::Ring));
+    assert!(ring.replicas_consistent);
+    assert_digest("ring", &ring.final_params, BASE_DIGEST);
+}
+
 /// Acceptance: the ring collective reproduces the star path bitwise on
 /// the same seed — same final parameters, same replica consistency —
 /// while routing zero gradient bytes through the coordinator.
@@ -130,7 +181,7 @@ fn hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes() {
         ParallelTopology::dp_ep(3, 2, 6, 2).unwrap(),
         ParallelTopology::new(2, 4, 4, 2, 1, 4).unwrap(),
     ];
-    for topo in shapes {
+    for (topo, committed) in shapes.into_iter().zip(SHAPE_DIGESTS) {
         let cfg = |collective| RuntimeConfig {
             total_iterations: 10,
             i_ckpt: 4,
@@ -143,6 +194,9 @@ fn hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes() {
         let star = run(cfg(CollectiveKind::Star));
         let ring = run(cfg(CollectiveKind::Ring));
         let hier = run(cfg(CollectiveKind::Hierarchical));
+        assert_digest(&format!("{topo} star"), &star.final_params, committed);
+        assert_digest(&format!("{topo} ring"), &ring.final_params, committed);
+        assert_digest(&format!("{topo} hier"), &hier.final_params, committed);
         assert!(hier.replicas_consistent, "{topo}: replicas diverged");
         assert_eq!(
             bits(&star.final_params),

@@ -105,6 +105,40 @@ fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|x| x.to_bits()).collect()
 }
 
+/// FNV-1a-64 over the bits of a run's final parameters — the scheme of
+/// `crates/train/tests/golden_bits.rs`, applied to a whole live run.
+fn digest(params: &[f32]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for x in params {
+        for b in x.to_bits().to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// The full grid shape: a shard group per node, `dp = tp = pp = 2`.
+const FULL_GRID: Shape = Shape(2, 4, 2, 2, 2, 2);
+
+/// Committed digest of [`FULL_GRID`]'s clean final parameters under
+/// [`config`]. Recorded from the coordinator-star collective of commit
+/// `03e28c9`, where the ring run hashed equal; every collective must
+/// keep reproducing it unedited, in the dev and the release profile. A
+/// deliberate change of numerics re-blesses by pasting the digest the
+/// failing assertion prints.
+const FULL_GRID_DIGEST: u64 = 0x55ae_8182_de8f_60d8;
+
+fn assert_digest(what: &str, params: &[f32], committed: u64) {
+    let observed = digest(params);
+    assert_eq!(
+        observed, committed,
+        "{what}: final-parameter digest is {observed:#018x}, committed {committed:#018x} — \
+         the run left its committed trajectory; if that is deliberate, paste the observed \
+         digest and explain it"
+    );
+}
+
 fn mid_run_kill(topo: &ParallelTopology) -> FaultPlan {
     // Kill the last node: on multi-node shapes a strict subset of shard
     // groups dies; on single-node shapes the whole cluster blacks out
@@ -187,9 +221,10 @@ fn grid_runs_match_flat_baseline_bitwise() {
     }
     // Collective-kind axis: the per-group star reduce reproduces the
     // per-group ring fold bitwise on the full grid shape.
-    let full_grid = Shape(2, 4, 2, 2, 2, 2);
-    let ring = clean_ring_run(full_grid);
-    let star = run(config(full_grid.topology(), CollectiveKind::Star));
+    let ring = clean_ring_run(FULL_GRID);
+    let star = run(config(FULL_GRID.topology(), CollectiveKind::Star));
+    assert_digest("full grid star", &star.final_params, FULL_GRID_DIGEST);
+    assert_digest("full grid ring", &ring.final_params, FULL_GRID_DIGEST);
     assert_eq!(
         bits(&ring.final_params),
         bits(&star.final_params),
@@ -255,8 +290,7 @@ fn straggler_is_numerically_invisible_on_every_shape() {
 #[test]
 fn torn_persist_recovers_bitwise_on_the_grid() {
     use moc_system::ckpt::testing::{FlakyStore, RecordingStore};
-    let shape = Shape(2, 4, 2, 2, 2, 2);
-    let topo = shape.topology();
+    let topo = FULL_GRID.topology();
     let cfg = || config(topo, CollectiveKind::Ring);
 
     // Record a clean run's put order, then cut the write budget midway
