@@ -1,24 +1,20 @@
-//! All-reduce scaling: coordinator star vs flat ring vs hierarchical.
+//! All-reduce scaling: flat ring vs hierarchical.
 //!
-//! The star collective gathers every rank's gradient on the coordinator
-//! thread and sums in rank order: its reduce cost is `O(world · |grad|)`
-//! serialized on one thread. The chunked ring all-reduce pipelines the
-//! same rank-order fold along peer channels, so each rank touches
-//! ~`2 · |grad|` elements regardless of world size. The two-level
-//! hierarchical reduce folds each node's members on a leader first and
-//! chains only the leaders, so the cross-node hop count scales with the
-//! node count rather than the world size. This bench sweeps
-//! world ∈ {2, 4, 8, 16, 32} under all three collectives and reports
-//! the star's coordinator-thread reduce time growing ~linearly while
-//! the per-rank ring and hierarchical times stay ~flat (busy time is
-//! reported, not wall time, so the numbers measure the algorithm rather
-//! than how many hardware threads the host happens to have). A final
-//! degraded-window row kills a node under elastic shrink and reports
-//! the survivor-ring trajectory: exactly `ring_fallback_iterations`
-//! star iterations, then the ring rebuilt over the survivors. The sweep
-//! is emitted as `BENCH_allreduce.json` — including ring-wait p50/p99
-//! from the per-phase log histograms — so the perf trajectory is
-//! machine-readable across commits.
+//! The chunked ring all-reduce pipelines the DP-order fold along peer
+//! channels, so each rank touches ~`2 · |grad|` elements regardless of
+//! world size. The two-level hierarchical reduce folds each node's
+//! members on a leader first and chains only the leaders, so the
+//! cross-node hop count scales with the node count rather than the
+//! world size. This bench sweeps world ∈ {2, 4, 8, 16, 32} under both
+//! collectives and reports the per-rank ring and hierarchical times
+//! staying ~flat (busy time is reported, not wall time, so the numbers
+//! measure the algorithm rather than how many hardware threads the host
+//! happens to have). A final degraded-window row kills a node under
+//! elastic shrink and reports the survivor-ring trajectory: every
+//! degraded iteration runs the ring rebuilt over the survivors. The
+//! sweep is emitted as `BENCH_allreduce.json` — including ring-wait
+//! p50/p99 from the per-phase log histograms — so the perf trajectory
+//! is machine-readable across commits.
 //!
 //! Run with `cargo bench --bench fig17_allreduce_scaling`.
 
@@ -58,9 +54,9 @@ fn run(point: (usize, usize, usize, usize), collective: CollectiveKind) -> RunSu
         .expect("fault-free run")
 }
 
-/// Degraded-window row: a node dies mid-run under elastic shrink, the
-/// recovery runs the bounded star window, then the survivors continue
-/// on the rebuilt ring to the end of the run.
+/// Degraded-window row: a node dies mid-run under elastic shrink and the
+/// survivors resume on the rebuilt ring, running it to the end of the
+/// run.
 fn run_degraded(point: (usize, usize, usize, usize)) -> RunSummary {
     let (world, nodes, gpus, ep) = point;
     let topo = moc_core::ParallelTopology::dp_ep(nodes, gpus, world, ep).expect("topology");
@@ -85,31 +81,27 @@ fn run_degraded(point: (usize, usize, usize, usize)) -> RunSummary {
 }
 
 fn main() {
-    banner("Fig. 17 — all-reduce scaling: star vs flat ring vs hierarchical");
+    banner("Fig. 17 — all-reduce scaling: flat ring vs hierarchical");
     println!("tiny 8-expert LM, 8 measured iterations per point, per-phase busy time\n");
     println!(
-        "{:>6} {:>15} {:>15} {:>15} {:>15} {:>12}",
-        "world", "star reduce", "ring per-rank", "hier per-rank", "ring wait", "ring allocs"
+        "{:>6} {:>15} {:>15} {:>15} {:>12}",
+        "world", "ring per-rank", "hier per-rank", "ring wait", "ring allocs"
     );
-    let mut star_reduce = Vec::new();
     let mut ring_rank = Vec::new();
     let mut hier_rank = Vec::new();
     let mut world_entries: Vec<Json> = Vec::new();
     for point in SWEEP {
-        let star = run(point, CollectiveKind::Star);
         let ring = run(point, CollectiveKind::Ring);
         let hier = run(point, CollectiveKind::Hierarchical);
         // Least-disturbed iteration: on an oversubscribed host the mean
         // measures the scheduler, the min measures the algorithm.
-        let star_secs = star.phase(Phase::Reduce).min_secs;
         let ring_secs =
             ring.phase(Phase::ReduceScatter).min_secs + ring.phase(Phase::AllGather).min_secs;
         let hier_secs =
             hier.phase(Phase::ReduceScatter).min_secs + hier.phase(Phase::AllGather).min_secs;
         println!(
-            "{:>6} {:>15} {:>15} {:>15} {:>15} {:>12}",
+            "{:>6} {:>15} {:>15} {:>15} {:>12}",
             point.0,
-            millis(star_secs),
             millis(ring_secs),
             millis(hier_secs),
             millis(ring.phase(Phase::RingWait).mean_secs()),
@@ -119,7 +111,6 @@ fn main() {
         world_entries.push(
             Report::new()
                 .field("world", point.0)
-                .field("star_reduce_min_secs", star_secs)
                 .field("ring_rank_min_secs", ring_secs)
                 .field("hier_rank_min_secs", hier_secs)
                 .field("ring_wait_mean_secs", wait.mean_secs())
@@ -128,23 +119,16 @@ fn main() {
                 .field("collective_allocs", ring.collective_allocs)
                 .json(),
         );
-        star_reduce.push(star_secs);
         ring_rank.push(ring_secs);
         hier_rank.push(hier_secs);
     }
 
-    let star_growth = star_reduce.last().unwrap() / star_reduce.first().unwrap().max(1e-9);
     let ring_growth = ring_rank.last().unwrap() / ring_rank.first().unwrap().max(1e-9);
     let hier_growth = hier_rank.last().unwrap() / hier_rank.first().unwrap().max(1e-9);
     let hier_vs_ring = hier_rank.last().unwrap() / ring_rank.last().unwrap().max(1e-9);
     println!(
-        "\nworld 2 → 32: star coordinator reduce grew {star_growth:.1}x, \
-         per-rank ring work grew {ring_growth:.1}x, hierarchical grew \
-         {hier_growth:.1}x ({hier_vs_ring:.2}x the flat ring at world 32)"
-    );
-    assert!(
-        star_growth > 4.0,
-        "star coordinator reduce must grow with world size (got {star_growth:.1}x)"
+        "\nworld 2 → 32: per-rank ring work grew {ring_growth:.1}x, hierarchical \
+         grew {hier_growth:.1}x ({hier_vs_ring:.2}x the flat ring at world 32)"
     );
     assert!(
         ring_growth < 2.0,
@@ -159,31 +143,27 @@ fn main() {
     );
 
     // Degraded-window row: kill at 6 rolls back to the checkpoint at 4,
-    // iteration 5 runs the bounded star window, 6..=12 run the ring
-    // rebuilt over the survivors.
+    // and 5..=12 run the ring rebuilt over the survivors.
     let point = SWEEP[2];
     let degraded = run_degraded(point);
-    let fallback = degraded.phase(Phase::Reduce).count;
     println!(
         "\ndegraded world {}: {} degraded iteration(s), {} on the survivor \
-         ring after a {}-iteration star window (survivor per-rank min {})",
+         ring (survivor per-rank min {})",
         point.0,
         degraded.degraded_iterations,
         degraded.survivor_ring_iterations,
-        fallback,
         millis(
             degraded.phase(Phase::ReduceScatter).min_secs
                 + degraded.phase(Phase::AllGather).min_secs
         ),
     );
     assert!(
-        degraded.survivor_ring_iterations > 0,
-        "the degraded window must run the survivor ring, not the star"
+        degraded.degraded_iterations > 0,
+        "the kill must shrink the run"
     );
     assert_eq!(
-        degraded.degraded_iterations - degraded.survivor_ring_iterations,
-        fallback,
-        "only the bounded fallback window runs the star while degraded"
+        degraded.survivor_ring_iterations, degraded.degraded_iterations,
+        "every degraded iteration must run the survivor ring"
     );
     let degraded_entry = Report::new()
         .field("world", point.0)
@@ -192,15 +172,10 @@ fn main() {
             "survivor_ring_iterations",
             degraded.survivor_ring_iterations,
         )
-        .field("star_fallback_count", fallback)
         .field(
             "survivor_ring_rank_min_secs",
             degraded.phase(Phase::ReduceScatter).min_secs
                 + degraded.phase(Phase::AllGather).min_secs,
-        )
-        .field(
-            "star_fallback_reduce_min_secs",
-            degraded.phase(Phase::Reduce).min_secs,
         )
         .json();
 
@@ -211,7 +186,6 @@ fn main() {
         .field("bench", "fig17_allreduce_scaling")
         .field("worlds", world_entries)
         .field("degraded", degraded_entry)
-        .field("star_reduce_growth", star_growth)
         .field("ring_rank_growth", ring_growth)
         .field("hier_rank_growth", hier_growth)
         .field("hier_vs_ring_at_max_world", hier_vs_ring)

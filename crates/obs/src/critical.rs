@@ -63,7 +63,8 @@ pub enum BlameCategory {
     Eval = 4,
     /// Forward/backward compute.
     Compute = 5,
-    /// Coordinator star reduce.
+    /// A `reduce` span: gradient reduction on the coordinator (the live
+    /// runtime no longer records one; ranks reduce among themselves).
     Reduce = 6,
     /// Update apply on the ranks.
     Apply = 7,
@@ -73,7 +74,7 @@ pub enum BlameCategory {
     PpWait = 9,
     /// Exposed ring all-reduce wait.
     RingWait = 10,
-    /// Control-plane odds and ends (apply barrier, …).
+    /// Control-plane odds and ends (health transitions, barriers, …).
     Control = 11,
     /// No foreground span active.
     Idle = 12,
@@ -482,12 +483,13 @@ pub fn analyze(events: &[TraceEvent], telemetry: Option<&[TelemetrySample]>) -> 
 
     // Windows are meant to tile the run, but their raw extents
     // `[min start, max end]` overlap: ranks drift a little out of phase,
-    // and one span tagged with a stale iteration (a respawned rank's
-    // `restore-apply` still carries iteration 0) stretches its window
-    // across every window in between. An instant belongs to the latest
-    // window to have started by then: in start order, each window is cut
-    // off where the next one starts, so no instant is blamed twice and
-    // the windows' wall times sum to at most the run's.
+    // so a window's late rank is still busy when the next window's
+    // early rank starts, and a span tagged with an iteration far from
+    // its neighbours' stretches its window across every window in
+    // between. An instant belongs to the latest window to have started
+    // by then: in start order, each window is cut off where the next
+    // one starts, so no instant is blamed twice and the windows' wall
+    // times sum to at most the run's.
     let mut extents: Vec<(f64, f64, (u64, u64))> = windows
         .iter()
         .map(|(key, spans)| {
@@ -708,12 +710,12 @@ mod tests {
         assert!(report.incidents[0].disruption_secs >= 1.0);
     }
 
-    /// A trace with a recovery in which a respawned rank's
-    /// `restore-apply` still carries iteration 0: window (0, 0) would
-    /// stretch from the bootstrap to the restore, over every epoch-0
-    /// iteration. Clipped, the windows' wall times sum to no more than
-    /// the run's, each instant keeps the blame of the window it falls
-    /// in, and the compute inside the stretched window stays compute.
+    /// A trace with a recovery in which one rank's `restore-apply` is
+    /// tagged iteration 0: window (0, 0) would stretch from the bootstrap
+    /// to the restore, over every epoch-0 iteration. Clipped, the
+    /// windows' wall times sum to no more than the run's, each instant
+    /// keeps the blame of the window it falls in, and the compute inside
+    /// the stretched window stays compute.
     #[test]
     fn windows_never_overlap_across_a_rollback() {
         let mut events = vec![span(0, "ckpt-serialize", SpanKind::Ckpt, 0, 0.0, 0.5)];
@@ -725,7 +727,7 @@ mod tests {
             events.push(span(1, "compute", SpanKind::Phase, it, t - 0.05, 1.0));
         }
         // The fault: iteration 4 aborts, detection + recovery take 3 s,
-        // the respawned rank restores under its stale iteration 0.
+        // and rank 1's restore is tagged iteration 0.
         events.push(span(2, "recovery", SpanKind::Fault, 4, 5.0, 3.0));
         events.push(span(1, "restore-apply", SpanKind::Fault, 0, 7.5, 0.4));
         // Epoch 1 replays 3–4.

@@ -4,8 +4,9 @@
 //! With `tp · pp > 1` the world is no longer a flat DP rank list: every
 //! global rank sits in a TP group (same `(dp, pp)` coordinates), a PP
 //! chain (same `(dp, tp)`), and a DP gradient group (same `(tp, pp)`).
-//! The DP groups run the ring/star all-reduce from [`super::ring`]; this
-//! module provides the other two group collectives:
+//! The DP groups run the all-reduce from [`super::ring`] or
+//! [`super::hier`]; this module provides the other two group
+//! collectives:
 //!
 //! * **TP consistency ring** — the members of a TP group hold replicas
 //!   of the same tensor-sliced state, so each iteration they circulate

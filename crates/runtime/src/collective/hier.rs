@@ -10,8 +10,9 @@
 //!
 //! # Determinism contract
 //!
-//! Like the ring, the result must be bitwise identical to the star
-//! reference fold `((g₀ + g₁) + g₂) + … + g_{dp−1}` scaled by `1/dp`.
+//! Like the ring, the result must be bitwise identical to the reference
+//! fold [`super::sequential_sum_reference`],
+//! `((g₀ + g₁) + g₂) + … + g_{dp−1}` scaled by `1/dp`.
 //! Per-node partial sums would change the bracketing, so the reduce leg
 //! instead pipelines the **running** partial along the leader chain in
 //! node order:
@@ -25,7 +26,7 @@
 //!   chain, with every leader downloading copies to its members.
 //!
 //! The per-slot fold order is exactly `0, 1, …, dp−1` — the same
-//! bracketing as the star and the flat ring — because the runtime's
+//! bracketing as the reference and the flat ring — because the runtime's
 //! `tp`-fastest rank layout makes a DP group's ascending-slot members
 //! ascending in global rank, and `node_of_global` is monotone in rank, so
 //! every node's slots form one contiguous run in slot order.
@@ -47,8 +48,7 @@
 //! Identical discipline to the ring: every blocking receive carries a
 //! deadline and a dead peer turns the collective into a [`RingAbort`]
 //! instead of a hang. The caller reports the abort; the coordinator
-//! recovers, rebuilds the mesh and falls back to the star for the
-//! configured window.
+//! recovers, rebuilds the mesh and resumes on it.
 
 use super::buffers::{ChunkPool, PooledBuf};
 use super::mesh::Leg;
@@ -293,8 +293,9 @@ fn take(
 
 /// Runs one two-level hierarchical all-reduce over `grad` in place: on
 /// success every slot's `grad` holds the slot-order sum of all slots'
-/// gradients scaled by `1/world`, bitwise identical to the star and the
-/// flat ring (see the module docs for why the bracketing is preserved).
+/// gradients scaled by `1/world`, bitwise identical to the reference fold
+/// and the flat ring (see the module docs for why the bracketing is
+/// preserved).
 ///
 /// `timeout` bounds how long the slot waits without making progress
 /// before declaring the collective dead.
@@ -312,7 +313,7 @@ pub fn hier_all_reduce(
 ) -> Result<RingTimings, RingAbort> {
     let inv = 1.0f32 / ep.world as f32;
     if ep.world == 1 || grad.is_empty() {
-        // Degenerate world: match the star's scale step exactly.
+        // Degenerate world: match the reference's scale step exactly.
         for x in grad.iter_mut() {
             *x *= inv;
         }
@@ -430,7 +431,7 @@ fn run_leader(
         let mut partial = match links.prev_leader {
             // Chain head (slot 0): seed the fold with a *copy* of its own
             // chunk — a zero-seeded fold would flip -0.0 to +0.0 and
-            // break bit-identity with the star.
+            // break bit-identity with the reference fold.
             None => {
                 let t = Instant::now();
                 let buf = ep.pool.try_copy(&grad[range.clone()]).expect(POOL_MSG);
@@ -573,7 +574,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_star_fold_bitwise_across_node_shapes_and_chunks() {
+    fn matches_reference_fold_bitwise_across_node_shapes_and_chunks() {
         let shapes: [&[usize]; 6] = [
             &[0, 0, 1, 1],       // two nodes, two slots each
             &[0, 0, 0, 0],       // single node: no leader chain
@@ -617,7 +618,7 @@ mod tests {
     }
 
     #[test]
-    fn single_slot_matches_star_scale() {
+    fn single_slot_matches_reference_scale() {
         let mesh = HierMesh::new(&[0], 4, 4);
         let ep = mesh.endpoints(0);
         let mut grad = vec![1.0f32, -3.0, 0.5, 7.0];

@@ -1,17 +1,15 @@
 //! Decentralized gradient collectives.
 //!
-//! PR 1's runtime exchanged gradients through a coordinator star: every
-//! rank shipped its full gradient to the coordinator thread, which summed
-//! in rank order and broadcast the result — `O(world · |grad|)` traffic
-//! *and* compute serialized on one thread. This module replaces that hot
-//! path with a decentralized chunked ring all-reduce executed by the rank
-//! threads themselves:
+//! Gradients are exchanged among the rank threads themselves; the
+//! coordinator never touches a gradient. Every iteration runs one
+//! chunked all-reduce per DP gradient group:
 //!
 //! * [`mesh`] — [`RingMesh`]: per-rank peer channels forming the ring
 //!   topology, rebuilt by the coordinator after every recovery;
 //! * [`ring`] — [`ring_all_reduce`]: the chunked reduce + gather legs
-//!   with the fixed rank-order combine contract (bitwise identical to the
-//!   star sum) and deadline-based abort on peer death;
+//!   with the fixed DP-order combine contract (bitwise identical to
+//!   [`sequential_sum_reference`]) and deadline-based abort on peer
+//!   death;
 //! * [`buffers`] — [`ChunkPool`]: preallocated, never-growing chunk
 //!   buffers, so steady-state iterations perform zero gradient-buffer
 //!   heap allocations;
@@ -23,13 +21,9 @@
 //!   the running partial along the node chain — reproducing the same
 //!   bits while keeping most ranks' traffic intra-node.
 //!
-//! With TP/PP shard groups, one ring (or one star reduction) runs *per
-//! DP gradient group* — the `dp` ranks sharing `(tp, pp)` coordinates —
-//! rather than over the flat world.
-//!
-//! The coordinator star path remains available as [`CollectiveKind::Star`]
-//! — both the paper-baseline configuration and the fallback the ring
-//! aborts into when a heartbeat death is detected mid-collective.
+//! With TP/PP shard groups, one ring runs *per DP gradient group* — the
+//! `dp` ranks sharing `(tp, pp)` coordinates — rather than over the
+//! flat world.
 
 pub mod buffers;
 pub mod groups;
@@ -46,31 +40,24 @@ pub use ring::{ring_all_reduce, sequential_sum_reference, RingAbort, RingTimings
 /// Which collective performs the per-iteration gradient exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectiveKind {
-    /// Coordinator star: gather on the coordinator thread, sum in rank
-    /// order, broadcast. Simple, but its coordinator-side cost grows
-    /// linearly with world size.
-    Star,
     /// Chunked ring all-reduce among the rank threads; per-rank cost is
-    /// ~flat in world size. Falls back to [`CollectiveKind::Star`] for a
-    /// configured window after a mid-collective fault. While the world
-    /// is elastically shrunk, the ring keeps running over the survivors:
-    /// the mesh keeps its full DP size and each dead slot is driven by
-    /// its adopter with the adopted gradient, preserving the fold order
-    /// bitwise.
+    /// ~flat in world size. While the world is elastically shrunk, the
+    /// ring keeps running over the survivors: the mesh keeps its full DP
+    /// size and each dead slot is driven by its adopter with the adopted
+    /// gradient, preserving the fold order bitwise.
     Ring,
     /// Two-level hierarchical reduce ([`hier_all_reduce`]): members fold
     /// onto their node leader in DP order, leaders pipeline the running
     /// partial along the node chain, and the result gathers back out —
-    /// same bits as the flat ring and the star, but most ranks only talk
-    /// to a same-node leader. Shares the ring's star-fallback window; a
-    /// degraded (shrunk) run falls back to the survivor ring.
+    /// same bits as the flat ring, but most ranks only talk to a
+    /// same-node leader. A degraded (shrunk) run falls back to the
+    /// survivor ring.
     Hierarchical,
 }
 
 impl std::fmt::Display for CollectiveKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CollectiveKind::Star => f.write_str("star"),
             CollectiveKind::Ring => f.write_str("ring"),
             CollectiveKind::Hierarchical => f.write_str("hierarchical"),
         }

@@ -7,13 +7,13 @@
 //! unfaulted one because the reduction is a pure function of the rank
 //! gradients. Float addition is not associative, so both properties pin
 //! the reduction to one fixed combine order: the rank-order left fold
-//! `((g₀ + g₁) + g₂) + … + g_{w−1}`, scaled by `1/w` — exactly what the
-//! coordinator's star path computes.
+//! `((g₀ + g₁) + g₂) + … + g_{w−1}`, scaled by `1/w` — exactly
+//! [`sequential_sum_reference`].
 //!
 //! A classical ring reduce-scatter cannot honour that contract: chunk `c`
 //! accumulates along a *rotated* path `c+1, …, c`, so each chunk gets a
-//! different bracketing and the result diverges from the star sum in the
-//! last ulps. Instead, the reduce leg here pipelines every chunk along
+//! different bracketing and the result diverges from the DP-order fold
+//! in the last ulps. Instead, the reduce leg here pipelines every chunk along
 //! the ring in rank order — rank 0 emits its chunk, each rank folds its
 //! own contribution in sequence, and the last rank completes the fold and
 //! applies the `1/w` scale — then the gather leg pipelines the finished
@@ -21,8 +21,7 @@
 //! averaged gradient. Chunk `c+1` flows while chunk `c` is still in
 //! flight, so per-rank traffic is ~`2·|grad|` **independent of world
 //! size** (the decentralized `2·(w−1)/w·|grad|` shape of Eq. 3's comm
-//! model), while the star's coordinator thread sums `w·|grad|` elements
-//! serially.
+//! model).
 //!
 //! # Fault behaviour
 //!
@@ -30,7 +29,7 @@
 //! whose channel disconnected) makes the collective return
 //! [`RingAbort`] instead of hanging; the caller reports the abort to the
 //! coordinator, which detects the failure, recovers, rebuilds the mesh,
-//! and falls back to the star collective for the configured window.
+//! and resumes on the fresh ring.
 //! Aborting never corrupts state: the local gradient buffer is rebuilt
 //! from scratch next iteration and an aborted iteration is never applied.
 
@@ -75,7 +74,7 @@ impl std::fmt::Display for RingAbort {
 
 /// Runs one chunked ring all-reduce over `grad` in place: on success
 /// every rank's `grad` holds the rank-order sum of all ranks' gradients
-/// scaled by `1/world`, bitwise identical to the star path.
+/// scaled by `1/world`, bitwise identical to [`sequential_sum_reference`].
 ///
 /// `timeout` bounds how long the rank waits without making progress
 /// before declaring the collective dead.
@@ -94,7 +93,7 @@ pub fn ring_all_reduce(
     let world = ep.world;
     let inv = 1.0f32 / world as f32;
     if world == 1 || grad.is_empty() {
-        // Degenerate ring: match the star's scale step exactly.
+        // Degenerate ring: match the reference's scale step exactly.
         for x in grad.iter_mut() {
             *x *= inv;
         }
@@ -320,11 +319,11 @@ fn run_relay(
     })
 }
 
-/// The star reference reduction: rank-order left fold scaled by
-/// `1/world` — the fixed combine order both collectives must reproduce
-/// bitwise. The fold is seeded with rank 0's gradient itself (not
-/// `0.0 + g₀`, which would flip `-0.0` to `+0.0` and break bit-identity
-/// with the ring). Exposed for tests and benchmarks.
+/// The reference reduction: the pure DP-order left fold scaled by
+/// `1/world` — the fixed combine order every collective must reproduce
+/// bitwise, and the oracle the collective tests compare against. The
+/// fold is seeded with rank 0's gradient itself (not `0.0 + g₀`, which
+/// would flip `-0.0` to `+0.0`). Exposed for tests and benchmarks.
 pub fn sequential_sum_reference(grads: &[Vec<f32>]) -> Vec<f32> {
     let Some(first) = grads.first() else {
         return Vec::new();
@@ -372,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_star_fold_bitwise_across_chunk_sizes() {
+    fn matches_reference_fold_bitwise_across_chunk_sizes() {
         let grads: Vec<Vec<f32>> = (0..4)
             .map(|r| {
                 (0..37)
@@ -391,8 +390,7 @@ mod tests {
     #[test]
     fn negative_zero_survives_the_fold_identically() {
         // The fold must be seeded with g₀ itself: a `0.0 + g₀` seed
-        // would turn an all-(-0.0) element into +0.0 on one collective
-        // but not the other.
+        // would turn an all-(-0.0) element into +0.0.
         let grads = vec![vec![-0.0f32, 1.0], vec![-0.0f32, 2.0], vec![-0.0f32, -3.0]];
         let reference = sequential_sum_reference(&grads);
         assert_eq!(reference[0].to_bits(), (-0.0f32).to_bits());
@@ -411,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_matches_star_scale() {
+    fn single_rank_matches_reference_scale() {
         let mesh = RingMesh::new(1, 4, 4);
         let ep = mesh.endpoints(0);
         let mut grad = vec![1.0f32, -3.0, 0.5, 7.0];

@@ -292,17 +292,8 @@ pub struct RuntimeConfig {
     pub retry: RetryPolicy,
     /// Which collective exchanges gradients each iteration.
     pub collective: CollectiveKind,
-    /// Ring/hierarchical chunk size in `f32` elements (ignored by the
-    /// star path).
+    /// Ring/hierarchical chunk size in `f32` elements.
     pub ring_chunk: usize,
-    /// Length of the star-fallback window a ring or hierarchical run
-    /// opens after every recovery and elastic expand: exactly this many
-    /// iterations run on the coordinator star before the configured
-    /// collective (or, while shrunk, the survivor ring) takes over.
-    /// Counted from the first iteration executed after the transition —
-    /// `star_fallback_until = next_executed_iteration + this` on both
-    /// paths.
-    pub ring_fallback_iterations: u64,
     /// Elastic-recovery policy: shrink onto survivors vs respawn, the
     /// placement replication factor, and the rejoin horizon.
     pub elastic: ElasticConfig,
@@ -354,7 +345,6 @@ impl RuntimeConfig {
             retry: RetryPolicy::default(),
             collective: CollectiveKind::Ring,
             ring_chunk: 4096,
-            ring_fallback_iterations: 1,
             elastic: ElasticConfig::default(),
             dynamic_k_budget: None,
             batch: topology.dp(),
@@ -369,8 +359,8 @@ impl RuntimeConfig {
     }
 
     /// Full checkpointing baseline over the same workload: PEC disabled,
-    /// synchronous persists, storage-only recovery, coordinator-star
-    /// gradient exchange.
+    /// synchronous persists, storage-only recovery, ring gradient
+    /// exchange.
     pub fn baseline(topology: ParallelTopology) -> Self {
         let model = moc_moe::presets::tiny_lm_8e();
         let n = model.num_experts();
@@ -381,7 +371,6 @@ impl RuntimeConfig {
             two_level: false,
             checkpoint_mode: CheckpointMode::Sync,
             ckpt: EngineConfig::full_only(),
-            collective: CollectiveKind::Star,
             ..Self::tiny(topology)
         }
     }
@@ -527,7 +516,7 @@ mod tests {
         assert_eq!(cfg.k_snapshot, cfg.model.num_experts());
         assert_eq!(cfg.checkpoint_mode, CheckpointMode::Sync);
         assert!(!cfg.two_level);
-        assert_eq!(cfg.collective, CollectiveKind::Star);
+        assert_eq!(cfg.collective, CollectiveKind::Ring);
     }
 
     #[test]

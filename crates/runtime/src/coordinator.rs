@@ -1,8 +1,9 @@
 //! The coordinator control plane.
 //!
 //! [`Coordinator::run`] drives a live training run: it spawns one OS
-//! thread per DP rank, runs the lock-step gradient exchange (the
-//! collective stand-in over crossbeam channels), orchestrates two-level
+//! thread per global rank, steps the ranks through lock-step iterations
+//! whose gradient exchange they run among themselves (the ring or
+//! hierarchical collective over crossbeam channels), orchestrates two-level
 //! checkpoints through the per-node agents, injects node kills from the
 //! fault plan, *detects* failures through missing heartbeat replies, and
 //! executes live recovery — pulling from surviving nodes' CPU-memory
@@ -133,35 +134,16 @@ struct GroupStats {
     pp_wait_secs: f64,
 }
 
-/// One grad reply (star collective).
-struct GradResult {
-    grad: Vec<f32>,
-    expert_loads: Vec<Vec<u64>>,
-    compute_secs: f64,
-    stall_secs: f64,
-    group: GroupStats,
-    /// Adopted dead-slice gradients (elastic degraded mode only).
-    adopted: Vec<crate::rank::AdoptedGrad>,
-}
-
-/// One rank's report from a star iteration.
-enum StarReply {
-    /// The rank computed and shipped its gradient.
-    Grad(GradResult),
-    /// The rank abandoned the iteration after a group-collective timeout.
-    Aborted,
-}
-
-/// One rank's report from a ring iteration.
-enum RingReply {
+/// One rank's report from an iteration.
+enum StepReply {
     /// The rank finished the collective and applied the step.
-    Done(RingDone),
+    Done(StepStats),
     /// The rank abandoned the collective after a peer timeout.
     Aborted,
 }
 
-/// Statistics of a completed ring step.
-struct RingDone {
+/// Statistics of a completed step.
+struct StepStats {
     expert_loads: Vec<Vec<u64>>,
     /// Expert loads of the dead slices this rank adopted (survivor ring
     /// only; the adopted gradients themselves were folded in-band).
@@ -211,8 +193,8 @@ struct Run {
     module_names: Vec<String>,
     /// Flattened-gradient length, fixed by the model architecture.
     grad_len: usize,
-    /// The live ring meshes, one per DP gradient group (ring and
-    /// hierarchical collectives); rebuilt after every recovery so
+    /// The live ring meshes, one per DP gradient group; rebuilt after
+    /// every recovery and expand so
     /// stranded messages die with their channels. While the world is
     /// shrunk these are the survivor rings: still full DP size, with
     /// each dead slot driven by its adopter.
@@ -224,14 +206,6 @@ struct Run {
     /// TP/PP group wiring (mixed-parallelism worlds only); rebuilt with
     /// the ring meshes.
     group_mesh: Option<GroupMesh>,
-    /// Iterations strictly below this bound run on the star fallback
-    /// (set after a ring abort; 0 when the ring is healthy).
-    star_fallback_until: u64,
-    /// Per-DP-group reduced-gradient buffers reused across star
-    /// iterations: each Arc is reclaimed once every group member dropped
-    /// its clone (guaranteed by the next iteration's gradient barrier),
-    /// so the steady state does not allocate per iteration.
-    apply_bufs: Vec<Arc<Vec<f32>>>,
     /// Recoveries triggered since the last completed iteration. Failure
     /// detection is timeout-based, so a rank that is merely slower than
     /// `heartbeat_timeout` is indistinguishable from a dead one; if the
@@ -405,8 +379,6 @@ impl Run {
             meshes: Vec::new(),
             hier_meshes: Vec::new(),
             group_mesh: None,
-            star_fallback_until: 0,
-            apply_bufs: Vec::new(),
             recoveries_without_progress: 0,
             live: vec![true; world],
             placement,
@@ -426,9 +398,6 @@ impl Run {
         if run.config.obs.enabled && run.config.obs.health {
             run.health = Some(HealthScorer::new(HealthConfig::default()));
         }
-        run.apply_bufs = (0..run.config.topology.num_dp_groups())
-            .map(|_| Arc::new(Vec::new()))
-            .collect();
         for rank in 0..world {
             let (tx, handle) = run.spawn_rank(rank);
             run.cmd_txs.push(tx);
@@ -445,8 +414,8 @@ impl Run {
     }
 
     /// Builds fresh collective wiring — one ring mesh per DP gradient
-    /// group (ring and hierarchical collectives) plus the hierarchical
-    /// leader meshes (full-shape hierarchical runs) and the TP/PP group
+    /// group plus the hierarchical leader meshes (full-shape
+    /// hierarchical runs) and the TP/PP group
     /// mesh (mixed parallelism only) — and hands every rank its
     /// endpoints. The previous meshes (if any) are dropped, which drops
     /// any messages an aborted collective stranded in their channels.
@@ -459,13 +428,9 @@ impl Run {
     fn build_links(&mut self) {
         let topo = self.config.topology;
         let num_groups = topo.num_dp_groups();
-        self.meshes = if self.config.collective != CollectiveKind::Star {
-            (0..num_groups)
-                .map(|_| RingMesh::new(topo.dp(), self.grad_len, self.config.ring_chunk))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.meshes = (0..num_groups)
+            .map(|_| RingMesh::new(topo.dp(), self.grad_len, self.config.ring_chunk))
+            .collect();
         // The leader chain only serves the full-shape world: a degraded
         // hierarchical run falls back to the survivor ring, so no leader
         // meshes are built while shrunk.
@@ -489,9 +454,6 @@ impl Run {
             self.metrics.collective_allocs += mesh.pool().preallocated() as u64;
         }
         self.group_mesh = (num_groups > 1).then(|| GroupMesh::new(&topo));
-        if self.meshes.is_empty() && self.group_mesh.is_none() {
-            return; // flat star world: nothing to install
-        }
         for (rank, tx) in self.cmd_txs.iter().enumerate() {
             if !self.live[rank] {
                 continue;
@@ -501,24 +463,19 @@ impl Run {
             // index.
             let group = rank % num_groups;
             let slot = rank / num_groups;
-            let ring = self.meshes.get(group).map(|m| m.endpoints(slot));
+            let mesh = &self.meshes[group];
             // Dead slots this rank adopts: it drives each one on the same
             // ring, in place of the dead member.
             let adopted_rings = self
-                .meshes
-                .get(group)
-                .map(|m| {
-                    self.adoptions
-                        .iter()
-                        .filter(|&(_, &a)| a == slot)
-                        .map(|(&d, _)| (d, m.endpoints(d)))
-                        .collect()
-                })
-                .unwrap_or_default();
+                .adoptions
+                .iter()
+                .filter(|&(_, &a)| a == slot)
+                .map(|(&d, _)| (d, mesh.endpoints(d)))
+                .collect();
             let hier = self.hier_meshes.get(group).map(|m| m.endpoints(slot));
             let groups = self.group_mesh.as_ref().map(|g| g.endpoints(rank));
             tx.send(RankCommand::InstallLinks {
-                ring,
+                ring: mesh.endpoints(slot),
                 adopted_rings,
                 hier,
                 groups,
@@ -527,35 +484,17 @@ impl Run {
         }
     }
 
-    /// The collective iteration `it` runs on: the configured one, unless
-    /// a recovery or expand opened a star-fallback window that `it`
-    /// falls into. A degraded (elastically shrunk) world runs the
-    /// survivor ring — the full-DP-size ring whose dead slots are driven
-    /// by their adopters — whether the configured collective is the flat
-    /// ring or the hierarchical reduce (the leader chain is not rebuilt
-    /// for shrunk shapes). The star is only ever the configured steady
-    /// state or the bounded post-recovery fallback, never the steady
-    /// state of a degraded run.
-    fn collective_for(&self, it: u64) -> CollectiveKind {
-        if self.config.collective == CollectiveKind::Star || it < self.star_fallback_until {
-            return CollectiveKind::Star;
-        }
+    /// The collective this iteration runs on: the configured one, except
+    /// that a degraded (elastically shrunk) world runs the survivor ring
+    /// — the full-DP-size ring whose dead slots are driven by their
+    /// adopters — whether the configured collective is the flat ring or
+    /// the hierarchical reduce (the leader chain is not rebuilt for
+    /// shrunk shapes).
+    fn collective(&self) -> CollectiveKind {
         if self.degraded() {
-            return CollectiveKind::Ring;
-        }
-        self.config.collective
-    }
-
-    /// Opens the bounded star-fallback window after a recovery or an
-    /// expand: iterations strictly below `next_it +
-    /// ring_fallback_iterations` run on the coordinator star, where
-    /// `next_it` is the first iteration executed after the transition —
-    /// exactly `ring_fallback_iterations` star iterations before the
-    /// configured collective takes over. No-op for a star-configured run
-    /// (the star already is the steady state).
-    fn open_star_fallback(&mut self, next_it: u64) {
-        if self.config.collective != CollectiveKind::Star {
-            self.star_fallback_until = next_it + self.config.ring_fallback_iterations;
+            CollectiveKind::Ring
+        } else {
+            self.config.collective
         }
     }
 
@@ -746,7 +685,7 @@ impl Run {
             // 2. Step all ranks through this iteration's collective,
             //    injecting scheduled straggler slowdowns and gray chaos
             //    (heartbeat report delays, mesh delays/drops).
-            let collective = self.collective_for(it);
+            let collective = self.collective();
             let slows = self.injector.slows_at(it);
             if !slows.is_empty() {
                 self.metrics.stragglers_injected += slows.len() as u64;
@@ -757,7 +696,7 @@ impl Run {
             }
             let report_delays = self.injector.report_delays_at(it);
             let mesh_chaos = self.injector.mesh_chaos_at(it);
-            let window = self.collect_window(collective);
+            let window = self.collect_window();
             let lease = self.config.detector.lease_for(window);
             for (rank, tx) in self.cmd_txs.iter().enumerate() {
                 if !self.live[rank] {
@@ -794,14 +733,12 @@ impl Run {
                 .expect("rank thread alive");
             }
 
-            // 3.–5. Gradient exchange (collection, reduction, apply).
-            //    Missing or aborted ranks mean dead nodes: detect,
-            //    recover, and resume from the rolled-back iteration.
-            let fault_resume = match collective {
-                CollectiveKind::Star => self.exchange_star(it)?,
-                CollectiveKind::Ring | CollectiveKind::Hierarchical => self.exchange_ring(it)?,
-            };
-            if let Some(resume) = fault_resume {
+            // 3.–5. Gradient exchange: the ranks all-reduce and apply
+            //    among themselves while the coordinator collects their
+            //    reports. Missing or aborted ranks mean dead nodes:
+            //    detect, recover, and resume from the rolled-back
+            //    iteration.
+            if let Some(resume) = self.exchange(it)? {
                 self.telemetry.incr(Counter::Iterations);
                 self.telemetry
                     .add_secs(Counter::IterationNanos, iter_start.elapsed().as_secs_f64());
@@ -810,12 +747,9 @@ impl Run {
             }
             self.recoveries_without_progress = 0;
             if self.degraded() {
+                // A shrunk world always runs the survivor ring.
                 self.metrics.degraded_iterations += 1;
-                // While degraded the only ring iterations are survivor
-                // rings (the leader chain never runs shrunk).
-                if collective == CollectiveKind::Ring {
-                    self.metrics.survivor_ring_iterations += 1;
-                }
+                self.metrics.survivor_ring_iterations += 1;
             }
             if collective == CollectiveKind::Hierarchical {
                 self.metrics.hierarchical_iterations += 1;
@@ -892,161 +826,30 @@ impl Run {
         self.record_routed_at(version);
     }
 
-    /// Star-collective exchange: gather every rank's gradient, reduce
-    /// each DP gradient group in DP order on the coordinator thread,
-    /// broadcast per group, barrier on the apply. Returns `Some(resume)`
-    /// when a fault was detected and recovered.
-    fn exchange_star(&mut self, it: u64) -> Result<Option<u64>, RuntimeError> {
+    /// The gradient exchange of iteration `it`: the ranks all-reduce and
+    /// apply among themselves; the coordinator only collects statistics
+    /// and watches for aborts. Returns `Some(resume)` when a fault was
+    /// detected and recovered.
+    fn exchange(&mut self, it: u64) -> Result<Option<u64>, RuntimeError> {
         let collect_start = Instant::now();
-        let replies = self.collect_star(it);
+        let replies = self.collect(it);
         let missing: Vec<usize> = (0..self.world())
             .filter(|&r| self.live[r] && !replies.contains_key(&r))
             .collect();
         let aborted: Vec<usize> = replies
             .iter()
-            .filter(|(_, r)| matches!(r, StarReply::Aborted))
+            .filter(|(_, r)| matches!(r, StepReply::Aborted))
             .map(|(&rank, _)| rank)
             .collect();
         if !missing.is_empty() || !aborted.is_empty() {
-            let resume =
-                self.handle_exchange_fault(it, &missing, &aborted, false, collect_start)?;
-            return Ok(Some(resume));
-        }
-        let grads: BTreeMap<usize, GradResult> = replies
-            .into_iter()
-            .map(|(rank, r)| match r {
-                StarReply::Grad(g) => (rank, g),
-                StarReply::Aborted => unreachable!("aborts handled above"),
-            })
-            .collect();
-        let max_compute = grads
-            .values()
-            .map(|g| g.compute_secs)
-            .fold(0.0f64, f64::max);
-        self.metrics.record(Phase::Compute, max_compute);
-        for g in grads.values() {
-            if g.stall_secs > 0.0 {
-                self.metrics.record(Phase::StragglerStall, g.stall_secs);
-            }
-        }
-        self.record_group_stats(grads.iter().map(|(&rank, g)| (rank, g.group)));
-        let health_samples: Vec<(usize, f64, f64)> = grads
-            .iter()
-            .map(|(&rank, g)| (rank, g.compute_secs + g.stall_secs, g.stall_secs))
-            .collect();
-        self.observe_health(it, &health_samples);
-
-        // Reduce each DP group: DP-order left fold into the group's
-        // reused scratch buffer, then average by the group size. The fold
-        // is seeded by *copying* the dp-0 member's gradient — not by
-        // adding it to zero, which would flip -0.0 to +0.0 and diverge
-        // bitwise from the ring's fold. `Arc::get_mut` succeeds in steady
-        // state because every rank drops its clone of the previous
-        // broadcast before sending this iteration's gradient. In a
-        // shrunk world a dead DP index's gradient is spliced in from its
-        // adopter's adopted-slice result at the same fold position, so
-        // the fold — and the trajectory — is bitwise the fixed-shape
-        // fold's.
-        let dp = self.config.topology.dp();
-        let num_groups = self.config.topology.num_dp_groups();
-        // The gradient of DP index `d` for fold group `group`: the live
-        // member's own gradient, or the adopter's adopted slice.
-        let grad_of = |d: usize, group: usize| -> &Vec<f32> {
-            let member = d * num_groups + group;
-            if self.live[member] {
-                &grads[&member].grad
-            } else {
-                let adopter = self.adoptions[&d] * num_groups + group;
-                &grads[&adopter]
-                    .adopted
-                    .iter()
-                    .find(|a| a.dp == d)
-                    .expect("adopter carries the dead slice")
-                    .grad
-            }
-        };
-        let start = Instant::now();
-        let reduce_trace = self.sink.now();
-        for (group, buf) in self.apply_bufs.iter_mut().enumerate() {
-            if Arc::get_mut(buf).is_none() {
-                *buf = Arc::new(Vec::new());
-            }
-            let sum = Arc::get_mut(buf).expect("freshly replaced Arc");
-            sum.clear();
-            sum.extend_from_slice(grad_of(0, group));
-            for d in 1..dp {
-                for (s, &x) in sum.iter_mut().zip(grad_of(d, group)) {
-                    *s += x;
-                }
-            }
-            let inv = 1.0 / dp as f32;
-            for s in sum.iter_mut() {
-                *s *= inv;
-            }
-        }
-        self.metrics
-            .record(Phase::Reduce, start.elapsed().as_secs_f64());
-        self.sink.span(SpanKind::Phase, "reduce", it, reduce_trace);
-        // Routing statistics: one representative per shard group — the
-        // live `(tp, pp) = (0, 0)` members' own loads plus the adopted
-        // dead slices they computed.
-        let mut routing: Vec<&Vec<Vec<u64>>> = Vec::new();
-        for (&rank, g) in &grads {
-            if rank % num_groups != 0 {
-                continue;
-            }
-            routing.push(&g.expert_loads);
-            for a in &g.adopted {
-                routing.push(&a.expert_loads);
-            }
-        }
-        self.record_routing(routing.into_iter());
-
-        // Broadcast each group's reduced gradient; every member applies
-        // the same Adam step, keeping replicas bitwise identical.
-        let apply_start = Instant::now();
-        let apply_trace = self.sink.now();
-        for (rank, tx) in self.cmd_txs.iter().enumerate() {
-            if !self.live[rank] {
-                continue;
-            }
-            tx.send(RankCommand::Apply {
-                grad: self.apply_bufs[rank % num_groups].clone(),
-            })
-            .expect("rank thread alive");
-        }
-        self.wait_applied();
-        self.metrics
-            .record(Phase::Apply, apply_start.elapsed().as_secs_f64());
-        self.sink
-            .span(SpanKind::Control, "apply-wait", it, apply_trace);
-        Ok(None)
-    }
-
-    /// Ring-collective exchange: the ranks all-reduce and apply among
-    /// themselves; the coordinator only collects statistics and watches
-    /// for aborts. Returns `Some(resume)` when a fault was detected and
-    /// recovered.
-    fn exchange_ring(&mut self, it: u64) -> Result<Option<u64>, RuntimeError> {
-        let collect_start = Instant::now();
-        let replies = self.collect_ring(it);
-        let missing: Vec<usize> = (0..self.world())
-            .filter(|&r| self.live[r] && !replies.contains_key(&r))
-            .collect();
-        let aborted: Vec<usize> = replies
-            .iter()
-            .filter(|(_, r)| matches!(r, RingReply::Aborted))
-            .map(|(&rank, _)| rank)
-            .collect();
-        if !missing.is_empty() || !aborted.is_empty() {
-            let resume = self.handle_exchange_fault(it, &missing, &aborted, true, collect_start)?;
+            let resume = self.handle_exchange_fault(it, &missing, &aborted, collect_start)?;
             return Ok(Some(resume));
         }
         let health_samples: Vec<(usize, f64, f64)> = replies
             .iter()
             .filter_map(|(&rank, r)| match r {
-                RingReply::Done(d) => Some((rank, d.compute_secs + d.stall_secs, d.stall_secs)),
-                RingReply::Aborted => None,
+                StepReply::Done(d) => Some((rank, d.compute_secs + d.stall_secs, d.stall_secs)),
+                StepReply::Aborted => None,
             })
             .collect();
         self.observe_health(it, &health_samples);
@@ -1064,7 +867,7 @@ impl Run {
         let mut rs_vals: Vec<f64> = Vec::new();
         let mut ag_vals: Vec<f64> = Vec::new();
         for reply in replies.values() {
-            let RingReply::Done(d) = reply else { continue };
+            let StepReply::Done(d) = reply else { continue };
             max_compute = max_compute.max(d.compute_secs);
             max_wait = max_wait.max(d.ring_wait_secs);
             max_apply = max_apply.max(d.apply_secs);
@@ -1093,8 +896,8 @@ impl Run {
         let overlap = (sum_busy - max_collective_wall).max(0.0);
         self.metrics.record(Phase::CommOverlap, overlap);
         self.record_group_stats(replies.iter().filter_map(|(&rank, r)| match r {
-            RingReply::Done(d) => Some((rank, d.group)),
-            RingReply::Aborted => None,
+            StepReply::Done(d) => Some((rank, d.group)),
+            StepReply::Aborted => None,
         }));
         // Routing statistics come from each shard group's representative
         // only (TP/PP members duplicate the same DP slice) — its own
@@ -1102,7 +905,7 @@ impl Run {
         let num_groups = self.config.topology.num_dp_groups();
         let mut routing: Vec<&Vec<Vec<u64>>> = Vec::new();
         for (&rank, r) in &replies {
-            let RingReply::Done(d) = r else { continue };
+            let StepReply::Done(d) = r else { continue };
             if rank % num_groups != 0 {
                 continue;
             }
@@ -1113,15 +916,13 @@ impl Run {
         Ok(None)
     }
 
-    /// Shared fault path of both collectives: surface detection events,
-    /// enforce the forward-progress bound, recover, and (for a ring run)
-    /// open the star-fallback window. Returns the resume iteration.
+    /// The exchange's fault path: surface detection events, enforce the
+    /// forward-progress bound, and recover. Returns the resume iteration.
     fn handle_exchange_fault(
         &mut self,
         it: u64,
         missing: &[usize],
         aborted: &[usize],
-        ring: bool,
         collect_start: Instant,
     ) -> Result<u64, RuntimeError> {
         let dead_nodes: BTreeSet<usize> = missing.iter().map(|&r| self.node_of(r)).collect();
@@ -1148,18 +949,11 @@ impl Run {
             );
         }
         if !aborted.is_empty() {
-            if ring {
-                self.metrics.ring_aborts += 1;
-            }
+            self.metrics.ring_aborts += 1;
             self.metrics.event(
                 it,
                 EventKind::CollectiveAbort {
                     aborted_ranks: aborted.to_vec(),
-                    fallback_iterations: if ring {
-                        self.config.ring_fallback_iterations
-                    } else {
-                        0
-                    },
                 },
             );
         }
@@ -1231,19 +1025,12 @@ impl Run {
         }
     }
 
-    /// One heartbeat collection window for `collective`. Star in a mixed
-    /// parallelism world doubles the per-receive window (like the ring
-    /// collector's): survivors of a mid-group death only report after
-    /// their own relay timeout fires. A flat-DP star world keeps the
-    /// single heartbeat window, preserving the baseline's detection
-    /// latency.
-    fn collect_window(&self, collective: CollectiveKind) -> Duration {
-        match collective {
-            CollectiveKind::Star if self.config.topology.num_dp_groups() <= 1 => {
-                self.config.heartbeat_timeout
-            }
-            _ => self.config.heartbeat_timeout * 2,
-        }
+    /// One heartbeat collection window: twice the heartbeat, because
+    /// survivors of a mid-collective death only report after their *own*
+    /// peer timeout fires, so the coordinator must outwait
+    /// detection-by-proxy, not just compute.
+    fn collect_window(&self) -> Duration {
+        self.config.heartbeat_timeout * 2
     }
 
     /// Records the transition of `silent` ranks into the suspected set:
@@ -1299,88 +1086,16 @@ impl Run {
         }
     }
 
-    /// Collects every rank's star report for `iteration` under the
-    /// suspicion detector: a timed-out window marks the still-silent
-    /// ranks suspected and grants them a lease; only `k_misses`
-    /// consecutive misses end collection (declaring the holdouts). A
-    /// suspected rank that replies mid-lease is re-admitted — no
-    /// recovery. With `k_misses == 1` this is exactly the legacy
+    /// Collects every rank's report for `iteration` under the suspicion
+    /// detector: a timed-out [`Self::collect_window`] marks the
+    /// still-silent ranks suspected and grants them a lease; only
+    /// `k_misses` consecutive misses end collection (declaring the
+    /// holdouts). A suspected rank that replies mid-lease is re-admitted
+    /// — no recovery. With `k_misses == 1` this is exactly the legacy
     /// single-miss detector.
-    fn collect_star(&mut self, iteration: u64) -> BTreeMap<usize, StarReply> {
+    fn collect(&mut self, iteration: u64) -> BTreeMap<usize, StepReply> {
         let mut replies = BTreeMap::new();
-        let window = self.collect_window(CollectiveKind::Star);
-        let lease = self.config.detector.lease_for(window);
-        let k = self.config.detector.k_misses;
-        let mut misses = 0u32;
-        let mut suspected = BTreeSet::new();
-        while replies.len() < self.live_world() {
-            let wait = if misses == 0 { window } else { lease };
-            match self.events.recv_timeout(wait) {
-                Ok(RankEvent::Grad {
-                    rank,
-                    iteration: it,
-                    epoch,
-                    grad,
-                    expert_loads,
-                    compute_secs,
-                    stall_secs,
-                    tp_consistent,
-                    tp_sync_secs,
-                    pp_wait_secs,
-                    adopted,
-                }) if it == iteration && epoch == self.epoch => {
-                    replies.insert(
-                        rank,
-                        StarReply::Grad(GradResult {
-                            grad,
-                            expert_loads,
-                            compute_secs,
-                            stall_secs,
-                            group: GroupStats {
-                                tp_consistent,
-                                tp_sync_secs,
-                                pp_wait_secs,
-                            },
-                            adopted,
-                        }),
-                    );
-                    self.note_cleared(iteration, rank, &mut suspected);
-                    misses = 0;
-                }
-                Ok(RankEvent::StepAborted {
-                    rank,
-                    iteration: it,
-                    epoch,
-                }) if it == iteration && epoch == self.epoch => {
-                    replies.insert(rank, StarReply::Aborted);
-                    self.note_cleared(iteration, rank, &mut suspected);
-                    misses = 0;
-                }
-                Ok(_) => {} // stale event from before a recovery
-                Err(RecvTimeoutError::Timeout) => {
-                    misses += 1;
-                    let silent: Vec<usize> = (0..self.live.len())
-                        .filter(|&r| self.live[r] && !replies.contains_key(&r))
-                        .collect();
-                    if misses >= self.effective_k(k, &silent) {
-                        break;
-                    }
-                    self.note_suspects(iteration, &silent, &mut suspected, misses);
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        replies
-    }
-
-    /// Collects every rank's ring report for `iteration`. The window per
-    /// receive is twice the heartbeat: survivors of a mid-collective
-    /// death only report after their *own* ring timeout fires, so the
-    /// coordinator must outwait detection-by-proxy, not just compute.
-    /// Runs the same suspicion protocol as [`Self::collect_star`].
-    fn collect_ring(&mut self, iteration: u64) -> BTreeMap<usize, RingReply> {
-        let mut replies = BTreeMap::new();
-        let window = self.collect_window(CollectiveKind::Ring);
+        let window = self.collect_window();
         let lease = self.config.detector.lease_for(window);
         let k = self.config.detector.k_misses;
         let mut misses = 0u32;
@@ -1406,7 +1121,7 @@ impl Run {
                 }) if it == iteration && epoch == self.epoch => {
                     replies.insert(
                         rank,
-                        RingReply::Done(RingDone {
+                        StepReply::Done(StepStats {
                             expert_loads,
                             adopted_loads,
                             compute_secs,
@@ -1430,7 +1145,7 @@ impl Run {
                     iteration: it,
                     epoch,
                 }) if it == iteration && epoch == self.epoch => {
-                    replies.insert(rank, RingReply::Aborted);
+                    replies.insert(rank, StepReply::Aborted);
                     self.note_cleared(iteration, rank, &mut suspected);
                     misses = 0;
                 }
@@ -1466,10 +1181,11 @@ impl Run {
     }
 
     /// Upper bound on how long the coordinator waits for a reply that is
-    /// not allowed to go missing (barrier acks, shard serialization,
-    /// restores). A rank-thread panic leaves the events channel open — the
-    /// coordinator holds a sender for respawns — so without this cap such
-    /// a bug would hang the run instead of failing it loudly.
+    /// not allowed to go missing (shard serialization, restores,
+    /// evaluation, state export, shutdown). A rank-thread panic leaves
+    /// the events channel open — the coordinator holds a sender for
+    /// respawns — so without this cap such a bug would hang the run
+    /// instead of failing it loudly.
     fn reply_deadline(&self) -> std::time::Duration {
         (self.config.heartbeat_timeout * 10).max(std::time::Duration::from_secs(60))
     }
@@ -1480,17 +1196,6 @@ impl Run {
         match self.events.recv_timeout(self.reply_deadline()) {
             Ok(event) => event,
             Err(e) => panic!("rank lost during {context} ({e:?})"),
-        }
-    }
-
-    /// Waits for every rank's apply acknowledgement (the barrier
-    /// release). Non-matching events are stale and discarded.
-    fn wait_applied(&self) {
-        let mut acks = HashSet::new();
-        while acks.len() < self.live_world() {
-            if let RankEvent::Applied { rank } = self.recv_reply("apply barrier") {
-                acks.insert(rank);
-            }
         }
     }
 
@@ -1871,21 +1576,19 @@ impl Run {
 
         // Rebuild the collective wiring: fresh channels drop anything the
         // aborted collectives stranded, and respawned ranks need
-        // endpoints. A ring or hierarchical run additionally falls back
-        // to the star path for the configured window of post-recovery
-        // iterations; once the window closes a shrunk run continues on
-        // the survivor ring (dead slots driven by their adopters), not
-        // the star. Training resumes at `resume + 1`, so this opens
-        // exactly `ring_fallback_iterations` star iterations.
+        // endpoints. Training resumes straight onto the new mesh — a
+        // shrunk run on the survivor ring (dead slots driven by their
+        // adopters).
         self.build_links();
-        self.open_star_fallback(resume + 1);
 
         // Broadcast restored state; every live rank (survivor or
         // respawned) rolls back to the recovered versions.
         let restore_start = Instant::now();
         let restore_trace = self.sink.now();
-        let blobs = Arc::new(outcome.blobs);
-        self.send_all(&RankCommand::Restore { blobs });
+        self.send_all(&RankCommand::Restore {
+            blobs: Arc::new(outcome.blobs),
+            iteration: detected_at,
+        });
         let mut restored = HashSet::new();
         while restored.len() < self.live_world() {
             // Stale pre-recovery events are drained and discarded here.
@@ -2080,6 +1783,7 @@ impl Run {
             self.cmd_txs[rank]
                 .send(RankCommand::Restore {
                     blobs: blobs.clone(),
+                    iteration: it,
                 })
                 .expect("respawned rank alive");
         }
@@ -2090,11 +1794,6 @@ impl Run {
             }
         }
         self.send_reconfigure();
-        // The expand runs before iteration `it` executes, so `it` is the
-        // first post-transition iteration: the same
-        // `ring_fallback_iterations`-long star window as after a
-        // recovery.
-        self.open_star_fallback(it);
         // Rejoin barrier: the returning writers' chains froze at the
         // shrink and the survivors may have GC'd every version the two
         // sides shared, so all live writers re-commit the current state
@@ -2159,7 +1858,7 @@ impl Run {
     }
 
     fn finish(mut self) -> Result<RunSummary, RuntimeError> {
-        let worst_window = self.collect_window(CollectiveKind::Ring);
+        let window = self.collect_window();
         // Drain in-flight persists before measuring final storage state.
         for node in self.nodes.iter().filter(|n| n.alive()) {
             node.wait_idle();
@@ -2191,18 +1890,12 @@ impl Run {
         // coordinator's own spans last completes the trace.
         self.sink.flush();
         // The audit's detection-latency bound: the detector's worst-case
-        // declaration time over the widest collect window, doubled for
+        // declaration time over the collect window, doubled for
         // recv_timeout overshoot on oversubscribed hosts, plus constant
         // slack for the rank-side step preceding the collection (the
         // injection span opens at iteration start, before collect).
-        self.collector.set_detect_bound(
-            2.0 * self
-                .config
-                .detector
-                .declare_after(worst_window)
-                .as_secs_f64()
-                + 5.0,
-        );
+        self.collector
+            .set_detect_bound(2.0 * self.config.detector.declare_after(window).as_secs_f64() + 5.0);
         let health = self.health.as_ref().map(HealthScorer::report);
         if let Some(report) = &health {
             if let Some(trace) = &self.config.obs.trace_path {
@@ -2311,62 +2004,6 @@ mod tests {
         let b = run(quick_config());
         assert_eq!(a.final_params, b.final_params);
         assert_eq!(a.val_curve, b.val_curve);
-    }
-
-    /// Satellite: both window-opening paths (recover passes `resume + 1`,
-    /// expand passes the iteration about to execute) route through
-    /// `open_star_fallback`, which grants exactly
-    /// `ring_fallback_iterations` star iterations; degraded runs then
-    /// fall to the survivor ring, full-shape runs to the configured
-    /// collective; a star-configured run never tracks a window.
-    #[test]
-    fn star_fallback_window_arithmetic_is_uniform() {
-        let store: Arc<dyn ObjectStore> = Arc::new(MemoryObjectStore::new());
-        let mut run = Run::start(quick_config(), store.clone()).unwrap();
-        let fallback = run.config.ring_fallback_iterations;
-        assert!(fallback > 0, "tiny() must configure a non-empty window");
-        run.open_star_fallback(6);
-        assert_eq!(run.star_fallback_until, 6 + fallback);
-        assert_eq!(run.collective_for(6 + fallback - 1), CollectiveKind::Star);
-        assert_eq!(run.collective_for(6 + fallback), CollectiveKind::Ring);
-        // A degraded run past the window runs the survivor ring.
-        run.degraded_since = Some(5);
-        assert_eq!(run.collective_for(6 + fallback), CollectiveKind::Ring);
-        drop(run);
-
-        // Hierarchical: the window closes into the leader chain at full
-        // shape, into the survivor ring while degraded.
-        let mut hier = Run::start(
-            RuntimeConfig {
-                collective: CollectiveKind::Hierarchical,
-                ..quick_config()
-            },
-            store.clone(),
-        )
-        .unwrap();
-        hier.open_star_fallback(3);
-        assert_eq!(hier.collective_for(3 + fallback - 1), CollectiveKind::Star);
-        assert_eq!(
-            hier.collective_for(3 + fallback),
-            CollectiveKind::Hierarchical
-        );
-        hier.degraded_since = Some(2);
-        assert_eq!(hier.collective_for(3 + fallback), CollectiveKind::Ring);
-        drop(hier);
-
-        // Star-configured runs never open a window: the star already is
-        // the steady state.
-        let mut star = Run::start(
-            RuntimeConfig {
-                collective: CollectiveKind::Star,
-                ..quick_config()
-            },
-            store,
-        )
-        .unwrap();
-        star.open_star_fallback(6);
-        assert_eq!(star.star_fallback_until, 0);
-        assert_eq!(star.collective_for(11), CollectiveKind::Star);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! * [`coordinator`] — the control plane: thread-per-rank membership,
 //!   iteration barriers, heartbeat-based failure detection, recovery
 //!   orchestration;
-//! * [`collective`] — the gradient-exchange layer:
-//!   [`CollectiveKind::Ring`] is a decentralized chunked ring all-reduce
-//!   run by the rank threads over peer channels
-//!   ([`collective::ring_all_reduce`]) with preallocated zero-alloc
-//!   chunk buffers ([`collective::ChunkPool`]);
-//!   [`CollectiveKind::Star`] is the coordinator gather/sum/broadcast
-//!   baseline and the fallback the ring aborts into on a fault;
+//! * [`collective`] — the gradient-exchange layer, run by the rank
+//!   threads over peer channels with preallocated zero-alloc chunk
+//!   buffers ([`collective::ChunkPool`]): [`CollectiveKind::Ring`] is a
+//!   decentralized chunked ring all-reduce
+//!   ([`collective::ring_all_reduce`]), [`CollectiveKind::Hierarchical`]
+//!   its two-level node-aware variant; a recovery rebuilds the mesh and
+//!   training resumes straight onto it;
 //! * [`rank`] — rank worker threads owning real [`moc_train::TinyMoeLm`]
 //!   replicas, plus the checkpoint-sharding ownership map
 //!   ([`owner_rank`]);
@@ -58,10 +58,11 @@
 //! and gate noise keyed by the *DP coordinate*, so a shard group's
 //! members step identically), and gradients are reduced in one fixed
 //! combine order — the DP-order left fold `((g₀ + g₁) + g₂) + …` scaled
-//! by `1/dp` within each DP gradient group — regardless of which
+//! by `1/dp` within each DP gradient group
+//! ([`collective::sequential_sum_reference`]) — regardless of which
 //! collective runs it and independent of message arrival timing (see
 //! [`collective::ring`]). So a run's final parameters are bitwise
-//! reproducible, ring and star runs of the same seed are bitwise
+//! reproducible, ring and hierarchical runs of the same seed are bitwise
 //! identical, a `(dp, tp, pp)` grid run is bitwise identical to the
 //! `tp = pp = 1` baseline with the same `dp`, and a faulted run under
 //! full checkpointing recovers to exactly the state an unfaulted run had

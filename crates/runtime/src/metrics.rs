@@ -21,7 +21,11 @@ use std::time::Instant;
 pub enum Phase {
     /// Forward + backward over the rank's sub-batch (max across ranks).
     Compute,
-    /// Gradient gather + sum on the coordinator (star collective only).
+    /// Gradient reduction on the coordinator thread. The runtime no
+    /// longer records it — ranks reduce among themselves on the ring or
+    /// hierarchical collective — so it always reads empty; the variant
+    /// stays for readers that still report it (`moc-e2e`'s
+    /// `collective.star_reduce_ms`, which therefore reads 0).
     Reduce,
     /// Ring reduce leg: active fold/copy/send work (median across ranks
     /// — the representative per-rank cost of the decentralized
@@ -45,8 +49,8 @@ pub enum Phase {
     /// Blocking time in the PP stage relay — the pipeline bubble (max
     /// across ranks; only recorded in mixed-parallelism worlds).
     PpBubble,
-    /// Optimizer step: wall time of the broadcast barrier round (star)
-    /// or the slowest rank's local load + Adam step (ring).
+    /// Optimizer step: the slowest rank's local load + Adam step after
+    /// its all-reduce.
     Apply,
     /// Shard serialization at checkpoint time (max across ranks).
     CkptSerialize,
@@ -218,13 +222,11 @@ pub enum EventKind {
         loss: f32,
     },
     /// A ring collective aborted mid-iteration (a peer stopped
-    /// responding); the runtime recovers and runs the star fallback for
-    /// the advertised window.
+    /// responding); the runtime recovers and resumes on the rebuilt
+    /// mesh.
     CollectiveAbort {
         /// Ranks that reported aborting their ring collective.
         aborted_ranks: Vec<usize>,
-        /// Iterations the run falls back to the star path for.
-        fallback_iterations: u64,
     },
     /// A straggler slowdown was injected into a rank's step.
     StragglerInjected {
@@ -309,8 +311,7 @@ pub struct MetricsRegistry {
     /// Iterations completed while the world was shrunk.
     pub degraded_iterations: u64,
     /// Degraded iterations that ran on the survivor ring (full-DP-size
-    /// ring with dead slots driven by their adopters) rather than the
-    /// bounded star fallback.
+    /// ring with dead slots driven by their adopters).
     pub survivor_ring_iterations: u64,
     /// Iterations that ran on the two-level hierarchical reduce.
     pub hierarchical_iterations: u64,
@@ -468,8 +469,8 @@ pub struct RunSummary {
     pub degraded_iterations: u64,
     /// Degraded iterations that ran on the survivor ring — the
     /// full-DP-size ring whose dead slots are driven by their adopters.
-    /// `degraded_iterations - survivor_ring_iterations` is the time a
-    /// shrunk run spent on the bounded star fallback.
+    /// Every degraded iteration does, so this equals
+    /// `degraded_iterations`.
     pub survivor_ring_iterations: u64,
     /// Iterations that ran on the two-level hierarchical reduce
     /// (full-shape `CollectiveKind::Hierarchical` steps).
@@ -561,16 +562,11 @@ impl RunSummary {
     /// configuration: the validation hook tying live wall-clock numbers
     /// back to the analytic models.
     pub fn event_sim_config(&self) -> EventSimConfig {
-        // Each iteration runs exactly one collective, so the star and
-        // ring phases must be weighted by how often they occurred, not
-        // summed as per-occurrence means — a ring run with a star
-        // fallback window records both, and charging every simulated
-        // iteration both costs would project high. The ring's exposed
-        // peer wait is part of the iteration's wall time and is charged
-        // here too.
+        // Every completed iteration runs one compute and one collective
+        // step, so the collective's legs, its exposed peer wait and the
+        // TP/PP group phases are all charged per exchange.
         let exchanges = self.phase(Phase::Compute).count.max(1) as f64;
-        let collective_total = self.phase(Phase::Reduce).total_secs
-            + self.phase(Phase::ReduceScatter).total_secs
+        let collective_total = self.phase(Phase::ReduceScatter).total_secs
             + self.phase(Phase::AllGather).total_secs
             + self.phase(Phase::RingWait).total_secs
             + self.phase(Phase::TpSync).total_secs

@@ -12,27 +12,26 @@
 //! 1. `Step`: exchange parameter CRCs around the TP consistency ring,
 //!    wait for the upstream pipeline stage's token, compute
 //!    forward+backward on the DP slice, relay tokens on (forward to the
-//!    next stage, backward to the previous), then exchange gradients
-//!    through the DP-group collective the step names — in star mode the
-//!    flattened gradient is reported to the coordinator, in ring mode
-//!    the rank all-reduces with its DP-group ring peers
-//!    ([`crate::collective::ring_all_reduce`]), applies the optimizer
-//!    step locally, and reports only timings and routing statistics.
-//! 2. `Apply` (star mode): load the group-reduced gradient and take an
-//!    identical Adam step — replicas stay bitwise identical.
-//! 3. `Checkpoint`: serialize the modules this rank *owns* under the
+//!    next stage, backward to the previous), then all-reduce the
+//!    gradient with the DP-group peers through the collective the step
+//!    names ([`crate::collective::ring_all_reduce`] or
+//!    [`crate::collective::hier_all_reduce`]), apply the optimizer step
+//!    locally — every replica applies the same reduced gradient, so
+//!    replicas stay bitwise identical — and report only timings and
+//!    routing statistics.
+//! 2. `Checkpoint`: serialize the modules this rank *owns* under the
 //!    group-aware checkpoint-sharding placement and report the shard
 //!    jobs.
-//! 4. `Restore`: overwrite local state from recovery blobs.
-//! 5. `InstallLinks`: adopt fresh ring/group endpoints (sent at run
-//!    start and after every recovery, so aborted collectives can never
-//!    leak messages into the next epoch).
+//! 3. `Restore`: overwrite local state from recovery blobs.
+//! 4. `InstallLinks`: adopt fresh ring/group endpoints (sent at run
+//!    start and after every recovery or expand, so aborted collectives
+//!    can never leak messages into the next epoch).
 //!
 //! A `Step` carrying `die: true` makes the thread exit mid-iteration
-//! without reporting — the injected node kill. The coordinator only
-//! learns of it through the missing reply (star), through the ring
-//! aborts the death causes in the DP-group peers, or through the
-//! stalled PP relays of its shard group.
+//! without reporting — the injected node kill. The coordinator learns
+//! of it through the missing reply, through the ring aborts the death
+//! causes in the DP-group peers, or through the stalled PP relays of its
+//! shard group.
 //!
 //! The flattened gradient and the CRC scratch live in per-thread
 //! buffers reused across iterations, so steady-state steps perform zero
@@ -68,14 +67,13 @@ pub(crate) struct RestoreBlob {
 /// gradient while the run is elastically shrunk: the gradient the dead
 /// shard group would have produced (bitwise — slice and gate noise are
 /// pure functions of `(iteration, dp)`), plus its routing statistics.
-#[derive(Debug)]
-pub(crate) struct AdoptedGrad {
+struct AdoptedGrad {
     /// The dead shard group's DP index.
-    pub dp: usize,
+    dp: usize,
     /// Its slice's flattened gradient.
-    pub grad: Vec<f32>,
+    grad: Vec<f32>,
     /// Its slice's per-layer expert loads.
-    pub expert_loads: Vec<Vec<u64>>,
+    expert_loads: Vec<Vec<u64>>,
 }
 
 /// Per-step chaos directives, lowered by the coordinator from the
@@ -106,8 +104,9 @@ pub(crate) enum RankCommand {
         /// discard replies from threads that predate a rollback.
         epoch: u64,
         die: bool,
-        /// Collective to exchange gradients through this iteration (the
-        /// coordinator switches to `Star` during ring-fallback windows).
+        /// Collective to exchange gradients through this iteration (a
+        /// degraded world runs the survivor `Ring` whatever the
+        /// configured collective).
         collective: CollectiveKind,
         /// Injected straggler slowdown factor, if this rank is a victim.
         slow_factor: Option<f64>,
@@ -115,12 +114,12 @@ pub(crate) enum RankCommand {
         chaos: StepChaos,
     },
     /// Adopt fresh collective endpoints (run start and after every
-    /// recovery): the rank's DP-group ring (ring/hierarchical
-    /// collectives), the dead DP slots it drives while the world is
-    /// shrunk, its two-level endpoints (hierarchical collective at full
-    /// shape), and its TP/PP group links (mixed-parallelism worlds only).
+    /// recovery or expand): the rank's DP-group ring, the dead DP slots
+    /// it drives while the world is shrunk, its two-level endpoints
+    /// (hierarchical collective at full shape), and its TP/PP group
+    /// links (mixed-parallelism worlds only).
     InstallLinks {
-        ring: Option<RingEndpoints>,
+        ring: RingEndpoints,
         /// Ring endpoints of the dead DP slots this rank adopted: while
         /// degraded, the mesh keeps its full DP size and the adopter
         /// drives each dead slot's position with the adopted gradient.
@@ -128,8 +127,6 @@ pub(crate) enum RankCommand {
         hier: Option<HierEndpoints>,
         groups: Option<GroupEndpoints>,
     },
-    /// Load the reduced gradient and apply the optimizer step (star).
-    Apply { grad: Arc<Vec<f32>> },
     /// Adopt an elastic-rebalance role: replace the rank's
     /// checkpoint-duty module set and the dead DP slices it additionally
     /// computes each step (sent at elastic-run start, after every
@@ -149,8 +146,14 @@ pub(crate) enum RankCommand {
     },
     /// Evaluate validation loss (sent to rank 0 only).
     Eval,
-    /// Overwrite local state from recovery blobs.
-    Restore { blobs: Arc<Vec<RestoreBlob>> },
+    /// Overwrite local state from recovery blobs. `iteration` is the
+    /// iteration the coordinator tags the transition's own spans with
+    /// (the fault's detection iteration, or the expand iteration), so a
+    /// freshly spawned rank's restore lands in the same trace window.
+    Restore {
+        blobs: Arc<Vec<RestoreBlob>>,
+        iteration: u64,
+    },
     /// Report final parameters and exit.
     Finish,
 }
@@ -158,29 +161,9 @@ pub(crate) enum RankCommand {
 /// Rank → coordinator events.
 #[derive(Debug)]
 pub(crate) enum RankEvent {
-    /// Star iteration result: flattened gradient plus routing statistics.
-    Grad {
-        rank: usize,
-        iteration: u64,
-        epoch: u64,
-        grad: Vec<f32>,
-        expert_loads: Vec<Vec<u64>>,
-        compute_secs: f64,
-        /// Injected straggler stall, 0 when the rank was not slowed.
-        stall_secs: f64,
-        /// Whether the rank's TP group exchanged identical param CRCs.
-        tp_consistent: bool,
-        /// Time spent in the TP consistency exchange.
-        tp_sync_secs: f64,
-        /// Blocking time in the PP relay (the rank's pipeline bubble).
-        pp_wait_secs: f64,
-        /// Adopted dead-slice results (elastic degraded mode; empty
-        /// otherwise).
-        adopted: Vec<AdoptedGrad>,
-    },
-    /// Ring iteration result: the gradient was all-reduced peer-to-peer
-    /// within the DP group and applied locally; only statistics travel
-    /// to the coordinator.
+    /// Iteration result: the gradient was all-reduced peer-to-peer within
+    /// the DP group and applied locally; only statistics travel to the
+    /// coordinator.
     StepDone {
         rank: usize,
         iteration: u64,
@@ -217,8 +200,6 @@ pub(crate) enum RankEvent {
         iteration: u64,
         epoch: u64,
     },
-    /// A rank's acknowledgement that the optimizer step was applied.
-    Applied { rank: usize },
     /// Serialized checkpoint shards of the rank's owned modules.
     Shards {
         rank: usize,
@@ -403,8 +384,7 @@ pub(crate) fn run_rank(ctx: RankContext) {
     // gradient-sized scratch and is never reallocated after the first
     // step. The same holds for the gradient of each adopted dead slice
     // while the run is shrunk: allocated on the first degraded step,
-    // reused until the next `Reconfigure` drops them (a star step ships
-    // them to the coordinator, so the fallback window reallocates).
+    // reused until the next `Reconfigure` drops them.
     let mut ring: Option<RingEndpoints> = None;
     let mut adopted_rings: Vec<(usize, RingEndpoints)> = Vec::new();
     let mut hier: Option<HierEndpoints> = None;
@@ -412,8 +392,8 @@ pub(crate) fn run_rank(ctx: RankContext) {
     let mut grad_buf: Vec<f32> = Vec::new();
     let mut adopted: Vec<AdoptedGrad> = Vec::new();
     let mut crc_buf: Vec<u8> = Vec::new();
-    // Commands without an iteration of their own (Apply, Eval, Restore,
-    // ExportState) are traced under the last stepped iteration.
+    // Commands without an iteration of their own (Eval, ExportState) are
+    // traced under the last stepped iteration.
     let mut last_iteration: u64 = 0;
 
     while let Ok(command) = ctx.commands.recv() {
@@ -531,7 +511,7 @@ pub(crate) fn run_rank(ctx: RankContext) {
                 // adopted dead group's slice. Slice and gate noise are
                 // pure functions of `(iteration, dp)`, so these
                 // gradients are bitwise what the dead ranks would have
-                // produced — the coordinator folds them at the dead DP
+                // produced — the survivor ring folds them at the dead DP
                 // positions and the trajectory matches the fixed shape.
                 if adopted.len() != adopted_slices.len() {
                     adopted = (adopted_slices.iter())
@@ -610,12 +590,79 @@ pub(crate) fn run_rank(ctx: RankContext) {
                         }
                     }
                 }
-                match collective {
-                    CollectiveKind::Star => {
-                        // Injected heartbeat loss: the work is done but
-                        // the report goes silent past one or more collect
-                        // windows — the coordinator suspects, then
-                        // re-admits on arrival.
+                let ring_trace = sink.now();
+                let timeout = cfg.heartbeat_timeout;
+                let (span_name, result) = if collective == CollectiveKind::Hierarchical {
+                    // Hierarchical steps only run at full shape: while the
+                    // world is shrunk the coordinator falls back to the
+                    // survivor ring.
+                    debug_assert!(adopted.is_empty(), "hierarchical step in degraded mode");
+                    let endpoints = hier.as_ref().expect("hier endpoints installed");
+                    (
+                        "hier-all-reduce",
+                        hier_all_reduce(endpoints, &mut grad_buf, epoch, iteration, timeout),
+                    )
+                } else {
+                    // While the world is shrunk the rank also drives its
+                    // adopted dead slots' ring positions, each on a
+                    // scoped helper thread running the unchanged
+                    // collective over the adopted gradient: the mesh
+                    // keeps its full DP size, so the fold order — and
+                    // therefore the bits — match the fixed shape. Every
+                    // slot ends with the same averaged gradient, so the
+                    // rank's own buffer holds the result. The slots must
+                    // run concurrently: a dead slot downstream of this
+                    // rank's own relays gradient chunks the rank itself
+                    // is blocked on.
+                    let endpoints = ring.as_ref().expect("ring endpoints installed");
+                    let own_grad = &mut grad_buf;
+                    let result = std::thread::scope(|scope| {
+                        let helpers: Vec<_> = adopted
+                            .iter_mut()
+                            .map(|a| {
+                                let ep = adopted_rings
+                                    .iter()
+                                    .find(|(d, _)| *d == a.dp)
+                                    .map(|(_, ep)| ep)
+                                    .expect("adopted slot endpoints installed");
+                                let grad = &mut a.grad;
+                                scope.spawn(move || {
+                                    ring_all_reduce(ep, grad, epoch, iteration, timeout)
+                                })
+                            })
+                            .collect();
+                        let own = ring_all_reduce(endpoints, own_grad, epoch, iteration, timeout);
+                        let mut helper_abort: Option<RingAbort> = None;
+                        for h in helpers {
+                            if let Err(e) = h.join().expect("adopted-slot ring thread") {
+                                helper_abort.get_or_insert(e);
+                            }
+                        }
+                        match (own, helper_abort) {
+                            (Ok(t), None) => Ok(t),
+                            (Err(e), _) | (Ok(_), Some(e)) => Err(e),
+                        }
+                    });
+                    ("ring-all-reduce", result)
+                };
+                match result {
+                    Ok(timings) => {
+                        ctx.telemetry.add_secs(
+                            Counter::CollectiveNanos,
+                            timings.reduce_scatter_secs
+                                + timings.all_gather_secs
+                                + timings.wait_secs,
+                        );
+                        sink.span(SpanKind::Collective, span_name, iteration, ring_trace);
+                        let apply_start = Instant::now();
+                        let apply_trace = sink.now();
+                        load_grads(model.store_mut(), &grad_buf);
+                        adam_step(model.store_mut(), &cfg.adam);
+                        sink.span(SpanKind::Phase, "apply", iteration, apply_trace);
+                        // Injected heartbeat loss: the all-reduce and the
+                        // apply completed — only the StepDone report goes
+                        // silent, past one or more collect windows; the
+                        // coordinator suspects, then re-admits on arrival.
                         if let Some(d) = chaos.report_delay {
                             let loss_trace = sink.now();
                             std::thread::sleep(d);
@@ -628,147 +675,35 @@ pub(crate) fn run_rank(ctx: RankContext) {
                                 Flow::None,
                             );
                         }
-                        let _ = ctx.events.send(RankEvent::Grad {
+                        let _ = ctx.events.send(RankEvent::StepDone {
                             rank: ctx.rank,
                             iteration,
                             epoch,
-                            grad: grad_buf.clone(),
                             expert_loads: stats.expert_loads,
                             compute_secs,
                             stall_secs,
+                            reduce_scatter_secs: timings.reduce_scatter_secs,
+                            all_gather_secs: timings.all_gather_secs,
+                            ring_wait_secs: timings.wait_secs,
+                            apply_secs: apply_start.elapsed().as_secs_f64(),
                             tp_consistent,
                             tp_sync_secs,
                             pp_wait_secs,
-                            adopted: std::mem::take(&mut adopted),
+                            adopted_loads: adopted
+                                .iter_mut()
+                                .map(|a| std::mem::take(&mut a.expert_loads))
+                                .collect(),
                         });
                     }
-                    CollectiveKind::Ring | CollectiveKind::Hierarchical => {
-                        let ring_trace = sink.now();
-                        let timeout = cfg.heartbeat_timeout;
-                        let (span_name, result) = if collective == CollectiveKind::Hierarchical {
-                            // Hierarchical steps only run at full shape:
-                            // while the world is shrunk the coordinator
-                            // falls back to the survivor ring (or the
-                            // star window).
-                            debug_assert!(adopted.is_empty(), "hierarchical step in degraded mode");
-                            let endpoints = hier.as_ref().expect("hier endpoints installed");
-                            (
-                                "hier-all-reduce",
-                                hier_all_reduce(
-                                    endpoints,
-                                    &mut grad_buf,
-                                    epoch,
-                                    iteration,
-                                    timeout,
-                                ),
-                            )
-                        } else {
-                            // While the world is shrunk the rank also
-                            // drives its adopted dead slots' ring
-                            // positions, each on a scoped helper thread
-                            // running the unchanged collective over the
-                            // adopted gradient: the mesh keeps its full
-                            // DP size, so the fold order — and therefore
-                            // the bits — match the fixed shape. Every
-                            // slot ends with the same averaged gradient,
-                            // so the rank's own buffer holds the result.
-                            // The slots must run concurrently: a dead
-                            // slot downstream of this rank's own relays
-                            // gradient chunks the rank itself is blocked
-                            // on.
-                            let endpoints = ring.as_ref().expect("ring endpoints installed");
-                            let own_grad = &mut grad_buf;
-                            let result = std::thread::scope(|scope| {
-                                let helpers: Vec<_> = adopted
-                                    .iter_mut()
-                                    .map(|a| {
-                                        let ep = adopted_rings
-                                            .iter()
-                                            .find(|(d, _)| *d == a.dp)
-                                            .map(|(_, ep)| ep)
-                                            .expect("adopted slot endpoints installed");
-                                        let grad = &mut a.grad;
-                                        scope.spawn(move || {
-                                            ring_all_reduce(ep, grad, epoch, iteration, timeout)
-                                        })
-                                    })
-                                    .collect();
-                                let own =
-                                    ring_all_reduce(endpoints, own_grad, epoch, iteration, timeout);
-                                let mut helper_abort: Option<RingAbort> = None;
-                                for h in helpers {
-                                    if let Err(e) = h.join().expect("adopted-slot ring thread") {
-                                        helper_abort.get_or_insert(e);
-                                    }
-                                }
-                                match (own, helper_abort) {
-                                    (Ok(t), None) => Ok(t),
-                                    (Err(e), _) | (Ok(_), Some(e)) => Err(e),
-                                }
-                            });
-                            ("ring-all-reduce", result)
-                        };
-                        match result {
-                            Ok(timings) => {
-                                ctx.telemetry.add_secs(
-                                    Counter::CollectiveNanos,
-                                    timings.reduce_scatter_secs
-                                        + timings.all_gather_secs
-                                        + timings.wait_secs,
-                                );
-                                sink.span(SpanKind::Collective, span_name, iteration, ring_trace);
-                                let apply_start = Instant::now();
-                                let apply_trace = sink.now();
-                                load_grads(model.store_mut(), &grad_buf);
-                                adam_step(model.store_mut(), &cfg.adam);
-                                sink.span(SpanKind::Phase, "apply", iteration, apply_trace);
-                                // Injected heartbeat loss (ring): the
-                                // all-reduce and the apply completed —
-                                // only the StepDone report goes silent.
-                                if let Some(d) = chaos.report_delay {
-                                    let loss_trace = sink.now();
-                                    std::thread::sleep(d);
-                                    sink.record(
-                                        SpanKind::Fault,
-                                        "heartbeat-loss",
-                                        iteration,
-                                        loss_trace,
-                                        d.as_secs_f64(),
-                                        Flow::None,
-                                    );
-                                }
-                                let _ = ctx.events.send(RankEvent::StepDone {
-                                    rank: ctx.rank,
-                                    iteration,
-                                    epoch,
-                                    expert_loads: stats.expert_loads,
-                                    compute_secs,
-                                    stall_secs,
-                                    reduce_scatter_secs: timings.reduce_scatter_secs,
-                                    all_gather_secs: timings.all_gather_secs,
-                                    ring_wait_secs: timings.wait_secs,
-                                    apply_secs: apply_start.elapsed().as_secs_f64(),
-                                    tp_consistent,
-                                    tp_sync_secs,
-                                    pp_wait_secs,
-                                    adopted_loads: adopted
-                                        .iter_mut()
-                                        .map(|a| std::mem::take(&mut a.expert_loads))
-                                        .collect(),
-                                });
-                            }
-                            Err(_) => {
-                                // A peer died or stalled past the
-                                // heartbeat: abandon the iteration
-                                // without applying; the coordinator
-                                // rolls everyone back.
-                                let _ = ctx.events.send(RankEvent::StepAborted {
-                                    rank: ctx.rank,
-                                    iteration,
-                                    epoch,
-                                });
-                            }
-                        }
+                    Err(_) => {
+                        // A peer died or stalled past the heartbeat:
+                        // abandon the iteration without applying; the
+                        // coordinator rolls everyone back.
+                        let _ = ctx.events.send(RankEvent::StepAborted {
+                            rank: ctx.rank,
+                            iteration,
+                            epoch,
+                        });
                     }
                 }
             }
@@ -778,17 +713,10 @@ pub(crate) fn run_rank(ctx: RankContext) {
                 hier: new_hier,
                 groups: new_groups,
             } => {
-                ring = new_ring;
+                ring = Some(new_ring);
                 adopted_rings = new_adopted;
                 hier = new_hier;
                 groups = new_groups;
-            }
-            RankCommand::Apply { grad } => {
-                let apply_trace = sink.now();
-                load_grads(model.store_mut(), &grad);
-                adam_step(model.store_mut(), &cfg.adam);
-                sink.span(SpanKind::Phase, "apply", last_iteration, apply_trace);
-                let _ = ctx.events.send(RankEvent::Applied { rank: ctx.rank });
             }
             RankCommand::Reconfigure {
                 owned: new_owned,
@@ -863,18 +791,13 @@ pub(crate) fn run_rank(ctx: RankContext) {
                 sink.span(SpanKind::Control, "eval", last_iteration, eval_trace);
                 let _ = ctx.events.send(RankEvent::EvalLoss { loss });
             }
-            RankCommand::Restore { blobs } => {
+            RankCommand::Restore { blobs, iteration } => {
                 let restore_trace = sink.now();
                 for blob in blobs.iter() {
                     deserialize_module(&mut model, &blob.module, blob.part, &blob.payload);
                 }
                 model.store_mut().zero_grads();
-                sink.span(
-                    SpanKind::Fault,
-                    "restore-apply",
-                    last_iteration,
-                    restore_trace,
-                );
+                sink.span(SpanKind::Fault, "restore-apply", iteration, restore_trace);
                 let _ = ctx.events.send(RankEvent::Restored { rank: ctx.rank });
             }
             RankCommand::Finish => {

@@ -63,15 +63,9 @@ fn describe(kind: &EventKind) -> (String, String) {
             ),
         ),
         EventKind::Eval { loss } => ("eval".into(), format!("val loss {loss:.4}")),
-        EventKind::CollectiveAbort {
-            aborted_ranks,
-            fallback_iterations,
-        } => (
+        EventKind::CollectiveAbort { aborted_ranks } => (
             "RING ABORT".into(),
-            format!(
-                "ranks {aborted_ranks:?} bailed; star fallback for \
-                 {fallback_iterations} iteration(s)"
-            ),
+            format!("ranks {aborted_ranks:?} bailed; resuming on the rebuilt ring"),
         ),
         EventKind::StragglerInjected { rank, factor } => {
             ("SLOW".into(), format!("rank {rank} stretched {factor}x"))

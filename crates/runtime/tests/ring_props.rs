@@ -1,7 +1,7 @@
 //! Property tests of the ring collective's determinism contract: for
 //! arbitrary world sizes, gradient lengths, chunk sizes, and gradient
 //! values, the ring all-reduce must produce output bitwise identical to
-//! the star path's sequential rank-order sum on every rank.
+//! the pure DP-order fold [`sequential_sum_reference`] on every rank.
 
 use moc_runtime::collective::{ring_all_reduce, sequential_sum_reference, RingMesh};
 use proptest::prelude::*;
@@ -55,7 +55,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn ring_is_bitwise_identical_to_rank_order_star_sum(
+    fn ring_is_bitwise_identical_to_the_dp_order_fold(
         world in 1usize..7,
         len in 1usize..200,
         chunk in 1usize..64,

@@ -7,13 +7,13 @@
 //! # The contract: reduction order is part of the result
 //!
 //! Every bitwise-identity test in this workspace (faulty run ≡ fault-free
-//! run, ring ≡ star, recovered ≡ never failed) and the committed
-//! `golden_bits` digests compare float bit patterns, and float addition
-//! does not associate. So a kernel here may change *which index is the
-//! SIMD lane*, never *the order of adds into one output element*: each
-//! `out[i][j]` is `Σ_k a[i][k]·b[k][j]` accumulated from `0.0` with `k`
-//! ascending, one rounded multiply and one rounded add per term, no FMA,
-//! no partial sums.
+//! run, ring ≡ hierarchical, recovered ≡ never failed) and the committed
+//! `golden_bits` and run-level digests compare float bit patterns, and
+//! float addition does not associate. So a kernel here may change *which
+//! index is the SIMD lane*, never *the order of adds into one output
+//! element*: each `out[i][j]` is `Σ_k a[i][k]·b[k][j]` accumulated from
+//! `0.0` with `k` ascending, one rounded multiply and one rounded add per
+//! term, no FMA, no partial sums.
 //!
 //! [`gemm`] is the only product loop. Its reduction index `k` is the
 //! *outer* loop and the contiguous output index `j` the inner one, so the

@@ -1,9 +1,10 @@
-//! Integration tests of the decentralized collective layer: ring runs
-//! are bitwise identical to star runs, a node killed mid-all-reduce
-//! surfaces as a detected fault with a clean recovery (converging
-//! bitwise-identical to an unfaulted run), the steady-state ring
-//! allocates no gradient buffers, and injected stragglers stall the
-//! pipeline measurably without perturbing the numerics.
+//! Integration tests of the decentralized collective layer: ring and
+//! hierarchical runs end on committed cross-commit final-parameter
+//! digests, a node killed mid-all-reduce surfaces as a detected fault
+//! with a clean recovery (converging bitwise-identical to an unfaulted
+//! run), the steady-state ring allocates no gradient buffers, and
+//! injected stragglers stall the pipeline measurably without perturbing
+//! the numerics.
 
 use moc_system::core::ParallelTopology;
 use moc_system::runtime::{
@@ -13,6 +14,9 @@ use moc_system::store::{FaultEvent, FaultPlan, MemoryObjectStore, ObjectStore};
 use moc_system::train::PecMode;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod common;
+use common::assert_digest;
 
 fn base_config(collective: CollectiveKind) -> RuntimeConfig {
     // 2 nodes × 2 GPUs, DP = EP = 4: two experts of the tiny 8-expert LM
@@ -43,19 +47,6 @@ fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|x| x.to_bits()).collect()
 }
 
-/// FNV-1a-64 over the bits of a run's final parameters — the scheme of
-/// `crates/train/tests/golden_bits.rs`, applied to a whole live run.
-fn digest(params: &[f32]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for x in params {
-        for b in x.to_bits().to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
 /// Committed digest of `base_config`'s final parameters. Recorded from
 /// the coordinator-star collective of commit `03e28c9`, where the ring
 /// run hashed equal; every collective must keep reproducing it
@@ -63,53 +54,23 @@ fn digest(params: &[f32]) -> u64 {
 const BASE_DIGEST: u64 = 0x9cb8_e6f6_3174_70d7;
 
 /// Committed digests of the three shapes of
-/// `hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes`,
-/// recorded the same way.
+/// `hierarchical_is_bitwise_identical_to_ring_across_shapes`, recorded
+/// the same way.
 const SHAPE_DIGESTS: [u64; 3] = [
     0x9cb8_e6f6_3174_70d7,
     0x539a_37ef_1d2e_acea,
     0x9cb8_e6f6_3174_70d7,
 ];
 
-/// Fails with the observed digest, so a deliberate change of numerics
-/// re-blesses with a one-line diff the change has to explain.
-fn assert_digest(what: &str, params: &[f32], committed: u64) {
-    let observed = digest(params);
-    assert_eq!(
-        observed, committed,
-        "{what}: final-parameter digest is {observed:#018x}, committed {committed:#018x} — \
-         the run left its committed trajectory; if that is deliberate, paste the observed \
-         digest and explain it"
-    );
-}
-
 /// Cross-commit anchor: the ring run of `base_config` ends on the
-/// committed final-parameter digest.
+/// committed final-parameter digest with consistent replicas, and every
+/// iteration ran exactly one ring step — no gradient passes through the
+/// coordinator.
 #[test]
 fn ring_run_matches_committed_digest() {
-    let star = run(base_config(CollectiveKind::Star));
-    assert_digest("star", &star.final_params, BASE_DIGEST);
     let ring = run(base_config(CollectiveKind::Ring));
     assert!(ring.replicas_consistent);
     assert_digest("ring", &ring.final_params, BASE_DIGEST);
-}
-
-/// Acceptance: the ring collective reproduces the star path bitwise on
-/// the same seed — same final parameters, same replica consistency —
-/// while routing zero gradient bytes through the coordinator.
-#[test]
-fn ring_run_is_bitwise_identical_to_star_run() {
-    let star = run(base_config(CollectiveKind::Star));
-    let ring = run(base_config(CollectiveKind::Ring));
-    assert!(star.replicas_consistent && ring.replicas_consistent);
-    assert_eq!(
-        bits(&star.final_params),
-        bits(&ring.final_params),
-        "ring must reproduce the star's rank-order fold bitwise"
-    );
-    // Phase accounting matches the collective that ran.
-    assert!(star.phase(Phase::Reduce).count > 0);
-    assert_eq!(star.phase(Phase::ReduceScatter).count, 0);
     assert_eq!(ring.phase(Phase::Reduce).count, 0);
     assert_eq!(
         ring.phase(Phase::ReduceScatter).count,
@@ -120,8 +81,9 @@ fn ring_run_is_bitwise_identical_to_star_run() {
 
 /// Acceptance: a node killed mid-all-reduce makes the surviving ring
 /// peers abort instead of hanging; the coordinator detects the death,
-/// recovers, runs the star-fallback window, and the run converges
-/// bitwise-identical to an unfaulted ring run under full checkpointing.
+/// recovers, resumes straight onto the rebuilt ring, and the run
+/// converges bitwise-identical to an unfaulted ring run under full
+/// checkpointing.
 #[test]
 fn node_kill_mid_allreduce_recovers_bitwise_identical() {
     let full = RuntimeConfig {
@@ -158,10 +120,13 @@ fn node_kill_mid_allreduce_recovers_bitwise_identical() {
             .any(|e| matches!(e.kind, EventKind::FaultDetected { .. })),
         "the dead peer must surface as a detected fault"
     );
-    // The abort fell back to the star path for the configured window.
-    assert!(
-        faulted.phase(Phase::Reduce).count >= 1,
-        "post-recovery iterations must run the star fallback"
+    // Every iteration but the aborted one completed a ring step; no
+    // gradient ever reached the coordinator.
+    assert_eq!(faulted.phase(Phase::Reduce).count, 0);
+    assert_eq!(
+        faulted.phase(Phase::ReduceScatter).count,
+        faulted.iterations_executed - 1,
+        "the recovery must resume straight onto the rebuilt ring"
     );
     assert_eq!(
         bits(&clean.final_params),
@@ -171,11 +136,11 @@ fn node_kill_mid_allreduce_recovers_bitwise_identical() {
 }
 
 /// Tentpole: the two-level hierarchical reduce reproduces the flat ring
-/// and the star bitwise across world/node shapes — flat DP over two and
-/// three nodes, and a mixed-TP world where each DP group's members span
-/// nodes in two-slot runs.
+/// bitwise, and both end on the committed digest, across world/node
+/// shapes — flat DP over two and three nodes, and a mixed-TP world where
+/// each DP group's members span nodes in two-slot runs.
 #[test]
-fn hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes() {
+fn hierarchical_is_bitwise_identical_to_ring_across_shapes() {
     let shapes = [
         ParallelTopology::dp_ep(2, 2, 4, 4).unwrap(),
         ParallelTopology::dp_ep(3, 2, 6, 2).unwrap(),
@@ -191,18 +156,11 @@ fn hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes() {
             heartbeat_timeout: Duration::from_millis(800),
             ..RuntimeConfig::tiny(topo)
         };
-        let star = run(cfg(CollectiveKind::Star));
         let ring = run(cfg(CollectiveKind::Ring));
         let hier = run(cfg(CollectiveKind::Hierarchical));
-        assert_digest(&format!("{topo} star"), &star.final_params, committed);
         assert_digest(&format!("{topo} ring"), &ring.final_params, committed);
         assert_digest(&format!("{topo} hier"), &hier.final_params, committed);
         assert!(hier.replicas_consistent, "{topo}: replicas diverged");
-        assert_eq!(
-            bits(&star.final_params),
-            bits(&hier.final_params),
-            "{topo}: hierarchical must reproduce the star fold bitwise"
-        );
         assert_eq!(
             bits(&ring.final_params),
             bits(&hier.final_params),
@@ -219,61 +177,6 @@ fn hierarchical_is_bitwise_identical_to_ring_and_star_across_shapes() {
             hier.phase(Phase::ReduceScatter).count,
             hier.iterations_executed,
             "{topo}"
-        );
-    }
-}
-
-/// Satellite: after a kill, the star fallback lasts *exactly*
-/// `ring_fallback_iterations` — pinned for both the flat ring and the
-/// hierarchical reduce (which shares the window) — and both land
-/// bitwise on their unfaulted trajectory.
-#[test]
-fn star_fallback_window_is_exactly_the_configured_length() {
-    for collective in [CollectiveKind::Ring, CollectiveKind::Hierarchical] {
-        let full = RuntimeConfig {
-            k_snapshot: 8,
-            k_persist: 8,
-            pec_mode: PecMode::NONE,
-            ring_fallback_iterations: 2,
-            ..base_config(collective)
-        };
-        let clean = run(full.clone());
-        let faulted = run(RuntimeConfig {
-            faults: FaultPlan::At(vec![FaultEvent {
-                iteration: 7,
-                node: 1,
-            }]),
-            ..full
-        });
-        assert_eq!(faulted.recoveries, 1, "{collective:?}");
-        assert!(faulted.ring_aborts >= 1, "{collective:?}");
-        // Kill at 7 rolled back to 4: iterations 5 and 6 (exactly the
-        // configured window) ran the star; everything else — including
-        // the replayed 7 — ran the configured collective.
-        assert_eq!(
-            faulted.phase(Phase::Reduce).count,
-            2,
-            "{collective:?}: the star window must last exactly \
-             ring_fallback_iterations"
-        );
-        // 13 executed = 10 + 3 replayed; minus 2 star, minus the aborted
-        // iteration which records no collective phase.
-        assert_eq!(
-            faulted.phase(Phase::ReduceScatter).count,
-            faulted.iterations_executed - 2 - 1,
-            "{collective:?}"
-        );
-        if collective == CollectiveKind::Hierarchical {
-            assert_eq!(
-                faulted.hierarchical_iterations,
-                faulted.iterations_executed - 2 - 1,
-                "every non-star, non-aborted iteration runs the leader chain"
-            );
-        }
-        assert_eq!(
-            bits(&clean.final_params),
-            bits(&faulted.final_params),
-            "{collective:?}: recovery must rejoin the unfaulted trajectory"
         );
     }
 }
@@ -299,12 +202,6 @@ fn ring_steady_state_allocates_no_gradient_buffers() {
         short.collective_allocs, long.collective_allocs,
         "extra iterations must not allocate gradient buffers"
     );
-    // The star path allocates no chunk buffers at all.
-    let star = run(RuntimeConfig {
-        collective: CollectiveKind::Star,
-        ..config(6)
-    });
-    assert_eq!(star.collective_allocs, 0);
 }
 
 /// Satellite: an injected straggler stretches its rank's step, the stall

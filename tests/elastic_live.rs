@@ -245,9 +245,9 @@ fn second_kill_while_degraded_composes_shrinks() {
 }
 
 /// Tentpole: the degraded window runs the *ring over the survivors* —
-/// the star is only the bounded post-recovery fallback window, never
-/// the steady state of a shrunk run — and the adopter-driven survivor
-/// fold still lands bitwise on the fixed-shape trajectory.
+/// every degraded iteration, from the first one after the shrink — and
+/// the adopter-driven survivor fold still lands bitwise on the
+/// fixed-shape trajectory.
 #[test]
 fn degraded_window_runs_survivor_ring_not_star() {
     let topo = two_node_topo();
@@ -258,31 +258,26 @@ fn degraded_window_runs_survivor_ring_not_star() {
         ..config(topo)
     });
     assert_eq!(shrunk.elastic_shrinks, 1);
-    // Kill at 7 rolled back to 4: iteration 5 is the single configured
-    // fallback-window star iteration; 6..=12 run the survivor ring.
+    // Kill at 7 rolled back to 4: 5..=12 all run the survivor ring.
     assert_eq!(shrunk.degraded_iterations, 8);
     assert_eq!(
-        shrunk.survivor_ring_iterations, 7,
-        "the degraded steady state is the survivor ring, not the star"
+        shrunk.survivor_ring_iterations, shrunk.degraded_iterations,
+        "every degraded iteration runs the survivor ring"
     );
-    assert_eq!(
-        shrunk.phase(Phase::Reduce).count,
-        1,
-        "the star runs only during the bounded fallback window"
-    );
-    // 15 executed = 12 + 3 replayed; minus the one star iteration and
-    // the aborted iteration 7, every step ran a ring.
+    assert_eq!(shrunk.phase(Phase::Reduce).count, 0);
+    // 15 executed = 12 + 3 replayed; minus the aborted iteration 7,
+    // every step ran exactly one ring.
     assert_eq!(
         shrunk.phase(Phase::ReduceScatter).count,
-        shrunk.iterations_executed - 1 - 1
+        shrunk.iterations_executed - 1
     );
     assert_bitwise_parity(&clean, &shrunk, "survivor ring");
 }
 
 /// Tentpole: a second kill while *on the survivor ring* — the kill at 8
 /// strikes degraded ring iterations, adopters included — aborts the
-/// survivor ring cleanly, composes a second shrink, reopens the star
-/// window, and returns the doubly-shrunk world to the survivor ring.
+/// survivor ring cleanly, composes a second shrink, and resumes the
+/// doubly-shrunk world straight onto the rebuilt survivor ring.
 #[test]
 fn second_kill_on_survivor_ring_aborts_and_recovers() {
     let topo = three_node_topo();
@@ -307,16 +302,20 @@ fn second_kill_on_survivor_ring_aborts_and_recovers() {
         elastic.ring_aborts >= 2,
         "the second abort must come from the survivor ring itself"
     );
-    assert_eq!(
-        elastic.phase(Phase::Reduce).count,
-        2,
-        "one bounded star window per recovery"
-    );
-    // Window 1: star at 5, survivor ring 6..7 (the kill at 8 strikes the
-    // survivor ring and is not counted). Window 2: star at 5, survivor
-    // ring 6..=12.
-    assert_eq!(elastic.survivor_ring_iterations, 2 + 7);
+    // Window 1: survivor ring 5..=7 (the kill at 8 strikes the survivor
+    // ring and is not counted). Window 2: survivor ring 5..=12.
     assert_eq!(elastic.degraded_iterations, 3 + 8);
+    assert_eq!(
+        elastic.survivor_ring_iterations, elastic.degraded_iterations,
+        "every degraded iteration runs the survivor ring"
+    );
+    // 5 + 4 + 8 = 17 executed; the two struck iterations (5 and 8)
+    // aborted, every other one ran exactly one ring.
+    assert_eq!(elastic.phase(Phase::Reduce).count, 0);
+    assert_eq!(
+        elastic.phase(Phase::ReduceScatter).count,
+        elastic.iterations_executed - 2
+    );
     assert_bitwise_parity(&clean, &elastic, "second kill on the survivor ring");
 }
 
@@ -405,11 +404,17 @@ fn hierarchical_elastic_falls_back_to_survivor_ring() {
         "the full-shape iterations run the leader chain"
     );
     assert_eq!(
-        elastic.hierarchical_iterations
-            + elastic.survivor_ring_iterations
-            + elastic.phase(Phase::Reduce).count,
+        elastic.survivor_ring_iterations, elastic.degraded_iterations,
+        "every degraded iteration runs the survivor ring"
+    );
+    assert_eq!(
+        elastic.hierarchical_iterations + elastic.survivor_ring_iterations,
         elastic.iterations_executed - 1,
         "every non-aborted iteration ran exactly one collective"
+    );
+    assert_eq!(
+        elastic.phase(Phase::ReduceScatter).count,
+        elastic.iterations_executed - 1
     );
     assert_bitwise_parity(&clean, &elastic, "hierarchical elastic fallback");
 }
@@ -625,7 +630,7 @@ fn calibration_samples_feed_the_analytic_loop() {
 #[ignore = "exhaustive sweep: run via cargo test -- --ignored"]
 fn exhaustive_elastic_sweep() {
     for topo in [two_node_topo(), three_node_topo()] {
-        for collective in [CollectiveKind::Ring, CollectiveKind::Star] {
+        for collective in [CollectiveKind::Ring, CollectiveKind::Hierarchical] {
             let clean = run(RuntimeConfig {
                 collective,
                 ..config(topo)

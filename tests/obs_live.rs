@@ -44,6 +44,7 @@ struct Slice {
     pid: u64,
     tid: u64,
     name: String,
+    iteration: u64,
     ts: f64,
     dur: f64,
 }
@@ -58,6 +59,11 @@ fn slices(doc: &Json) -> Vec<Slice> {
             pid: e.get("pid").and_then(Json::as_u64).expect("pid"),
             tid: e.get("tid").and_then(Json::as_u64).expect("tid"),
             name: e.get("name").and_then(Json::as_str).expect("name").into(),
+            iteration: e
+                .get("args")
+                .and_then(|a| a.get("iteration"))
+                .and_then(Json::as_u64)
+                .expect("iteration arg"),
             ts: e.get("ts").and_then(Json::as_f64).expect("ts"),
             dur: e.get("dur").and_then(Json::as_f64).expect("dur"),
         })
@@ -68,7 +74,9 @@ fn slices(doc: &Json) -> Vec<Slice> {
 /// Chrome-trace document whose fault flow arrows connect
 /// `fault-injected` → `fault-detected` → `recovery`, whose per-thread
 /// timestamps are monotonic with properly nested spans, and whose
-/// checkpoint-submit flows land on engine persist spans; the flight
+/// checkpoint-submit flows land on engine persist spans; every rank's
+/// `restore-apply` — the respawned ranks' included — is tagged with the
+/// iteration of the `recovery-restore` it runs inside; the flight
 /// recorder dumps at suspicion and at declaration, the latter holding
 /// the dead ranks' final compute spans.
 #[test]
@@ -171,6 +179,32 @@ fn fault_trace_links_injection_to_recovery() {
         finish_ts >= recovery.ts && finish_ts <= recovery.ts + recovery.dur,
         "fault flow must terminate inside the recovery slice"
     );
+
+    // Every rank's restore runs inside the coordinator's
+    // `recovery-restore` and carries its iteration — a freshly spawned
+    // rank thread has never stepped, so it must take the iteration from
+    // the restore command rather than from its own history.
+    let restores: Vec<&Slice> = slices
+        .iter()
+        .filter(|s| s.name == "recovery-restore")
+        .collect();
+    assert_eq!(restores.len(), 1);
+    let applies: Vec<&Slice> = slices
+        .iter()
+        .filter(|s| s.name == "restore-apply")
+        .collect();
+    assert_eq!(applies.len(), 4, "every rank restores");
+    for apply in applies {
+        let parent = restores
+            .iter()
+            .find(|r| apply.ts + 1.0 >= r.ts && apply.ts + apply.dur <= r.ts + r.dur + 1.0)
+            .unwrap_or_else(|| panic!("tid {}: restore-apply outside recovery-restore", apply.tid));
+        assert_eq!(
+            apply.iteration, parent.iteration,
+            "tid {}: restore-apply must carry its recovery's iteration",
+            apply.tid
+        );
+    }
 
     // Checkpoint flows (large ids): every submit start reaches an engine
     // persist finish.
@@ -466,9 +500,9 @@ fn incidents_attribute_fault_latency() {
         blame.iterations.iter().any(|w| w.epoch == 1),
         "post-recovery windows carry the next epoch"
     );
-    // ...nor across windows: the respawned rank's `restore-apply` still
-    // carries iteration 0 and would stretch window (0, 0) over all of
-    // epoch 0, blaming every instant of it twice.
+    // ...nor across windows: ranks drift out of phase, so raw window
+    // extents overlap, and unclipped they would blame some instants
+    // twice.
     assert!(
         blame.total_wall_secs <= 1.05 * summary.loop_secs,
         "blame windows cover {:.6}s of a {:.6}s loop",

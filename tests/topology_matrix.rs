@@ -29,6 +29,9 @@ use moc_system::train::PecMode;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+use common::assert_digest;
+
 /// One grid shape of the matrix: `(nodes, gpus/node, dp, tp, pp, ep)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Shape(usize, usize, usize, usize, usize, usize);
@@ -105,39 +108,14 @@ fn bits(params: &[f32]) -> Vec<u32> {
     params.iter().map(|x| x.to_bits()).collect()
 }
 
-/// FNV-1a-64 over the bits of a run's final parameters — the scheme of
-/// `crates/train/tests/golden_bits.rs`, applied to a whole live run.
-fn digest(params: &[f32]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for x in params {
-        for b in x.to_bits().to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
 /// The full grid shape: a shard group per node, `dp = tp = pp = 2`.
 const FULL_GRID: Shape = Shape(2, 4, 2, 2, 2, 2);
 
 /// Committed digest of [`FULL_GRID`]'s clean final parameters under
 /// [`config`]. Recorded from the coordinator-star collective of commit
 /// `03e28c9`, where the ring run hashed equal; every collective must
-/// keep reproducing it unedited, in the dev and the release profile. A
-/// deliberate change of numerics re-blesses by pasting the digest the
-/// failing assertion prints.
+/// keep reproducing it unedited, in the dev and the release profile.
 const FULL_GRID_DIGEST: u64 = 0x55ae_8182_de8f_60d8;
-
-fn assert_digest(what: &str, params: &[f32], committed: u64) {
-    let observed = digest(params);
-    assert_eq!(
-        observed, committed,
-        "{what}: final-parameter digest is {observed:#018x}, committed {committed:#018x} — \
-         the run left its committed trajectory; if that is deliberate, paste the observed \
-         digest and explain it"
-    );
-}
 
 fn mid_run_kill(topo: &ParallelTopology) -> FaultPlan {
     // Kill the last node: on multi-node shapes a strict subset of shard
@@ -194,8 +172,8 @@ fn assert_recovered_bitwise(shape: Shape, clean: &RunSummary, faulted: &RunSumma
 
 /// Matrix axis 1 (clean runs): every grid shape reproduces its
 /// `tp = pp = 1` baseline bitwise — final parameters and the full loss
-/// trajectory — on the ring collective, and star ≡ ring on the full
-/// grid shape.
+/// trajectory — on the ring collective, and the full grid shape ends on
+/// its committed cross-commit digest.
 #[test]
 fn grid_runs_match_flat_baseline_bitwise() {
     let mut baselines: std::collections::HashMap<(usize, usize), RunSummary> =
@@ -219,20 +197,13 @@ fn grid_runs_match_flat_baseline_bitwise() {
         );
         assert_eq!(flat.plt, grid.plt, "{shape:?}: PLT bookkeeping must match");
     }
-    // Collective-kind axis: the per-group star reduce reproduces the
-    // per-group ring fold bitwise on the full grid shape.
+    // The per-group ring folds of the full grid land on the committed
+    // digest.
     let ring = clean_ring_run(FULL_GRID);
-    let star = run(config(FULL_GRID.topology(), CollectiveKind::Star));
-    assert_digest("full grid star", &star.final_params, FULL_GRID_DIGEST);
     assert_digest("full grid ring", &ring.final_params, FULL_GRID_DIGEST);
-    assert_eq!(
-        bits(&ring.final_params),
-        bits(&star.final_params),
-        "star and ring must agree bitwise on the grid"
-    );
     // The group phases only exist in mixed-parallelism worlds.
-    assert!(star.phase(Phase::TpSync).count > 0);
-    assert!(star.phase(Phase::PpBubble).count > 0);
+    assert!(ring.phase(Phase::TpSync).count > 0);
+    assert!(ring.phase(Phase::PpBubble).count > 0);
 }
 
 /// Matrix axis 2 (kill): a mid-run node kill on every shape is detected
@@ -255,14 +226,14 @@ fn node_kill_recovers_bitwise_on_every_shape() {
 /// Matrix axis 3 (straggle): a sustained straggler on the highest
 /// global rank (the last TP slice of the last stage of the last DP
 /// group) stalls the measured timeline on every shape without
-/// perturbing the numerics, under the star collective.
+/// perturbing the numerics, under the ring collective.
 #[test]
 fn straggler_is_numerically_invisible_on_every_shape() {
     for &shape in SHAPES {
         let topo = shape.topology();
         let cfg = RuntimeConfig {
             heartbeat_timeout: Duration::from_secs(4),
-            ..config(topo, CollectiveKind::Star)
+            ..config(topo, CollectiveKind::Ring)
         };
         let smooth = run(cfg.clone());
         let slowed = run(RuntimeConfig {
@@ -347,7 +318,7 @@ fn torn_persist_recovers_bitwise_on_the_grid() {
 fn exhaustive_shape_fault_collective_sweep() {
     for &shape in SHAPES {
         let topo = shape.topology();
-        for collective in [CollectiveKind::Ring, CollectiveKind::Star] {
+        for collective in [CollectiveKind::Ring, CollectiveKind::Hierarchical] {
             // The clean run doubles as the put-order probe for the
             // torn-persist leg.
             let recording = Arc::new(moc_system::ckpt::testing::RecordingStore::new());
