@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use moc_ckpt::testing::RecordingStore;
 use moc_ckpt::{ChainStore, EngineConfig, ShardWriter};
-use moc_store::{ObjectStore, ShardKey, StatePart};
+use moc_store::{MemoryObjectStore, ObjectStore, ShardKey, StatePart};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,4 +159,137 @@ fn mid_batch_cut_rejects_exactly_the_torn_version() {
         .unwrap()
         .unwrap();
     assert_eq!(Bytes::from(reference[&(0usize, 10u64)].clone()), got);
+}
+
+/// PEC-style persist scripts: checkpoint `i` (version `10 * (i + 1)`)
+/// persists slot `s` of [`SLOTS`] when bit `s` of its mask is set. The
+/// non-expert `embedding` (bit 2) persists every time; the experts are
+/// skipped on some checkpoints, so GC meets slots whose only version —
+/// or only version below the keep anchor — must survive.
+const GC_SCRIPTS: [&[u8]; 3] = [
+    // Bootstrap, then a K_persist = 1 rotation over the two experts.
+    &[0b111, 0b101, 0b110, 0b101, 0b110, 0b101, 0b110, 0b101],
+    // expert1 persisted once at bootstrap, then skipped until late.
+    &[0b111, 0b101, 0b101, 0b101, 0b101, 0b101, 0b111, 0b101],
+    // Irregular: runs of skips for both experts.
+    &[
+        0b111, 0b100, 0b110, 0b100, 0b100, 0b101, 0b111, 0b100, 0b110,
+    ],
+];
+
+/// FNV-1a-64 of the store's sorted key list after each script, hashed
+/// over every `(gc_keep_last, rebase_interval)` cell in order. Recorded
+/// at commit `4fcc5a0`, whose GC nominated through
+/// `moc_core::manifest::Manifest::prunable`; any change to which shard
+/// versions GC deletes changes them. A deliberate change re-blesses by
+/// pasting the digest the failing assertion prints, and has to explain
+/// why.
+const GC_KEY_DIGESTS: [u64; 3] = [
+    0x6340_71ce_fc47_2dc6,
+    0x6b69_d8bf_ece8_f4c0,
+    0x472d_1df5_fb40_61e9,
+];
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Runs one script with GC after every commit, checks that every version
+/// the chain reports reconstructs bitwise after every pass, and folds
+/// the final sorted key list into `hash`.
+fn run_gc_script(script: &[u8], keep_last: usize, rebase_interval: u64, hash: &mut u64) {
+    let store: Arc<dyn ObjectStore> = Arc::new(MemoryObjectStore::new());
+    let config = EngineConfig {
+        delta: true,
+        rebase_interval,
+        gc_keep_last: keep_last,
+        ..EngineConfig::with_gc(1)
+    };
+    let mut writer = ShardWriter::new(0, store.clone(), config);
+    let cell = format!("keep_last {keep_last} rebase {rebase_interval}");
+    // Per slot, the versions the script persisted, ascending.
+    let mut written: Vec<Vec<u64>> = vec![Vec::new(); SLOTS.len()];
+    for (i, &mask) in script.iter().enumerate() {
+        let version = 10 * (i as u64 + 1);
+        let shards: Vec<(ShardKey, Vec<u8>)> = SLOTS
+            .iter()
+            .enumerate()
+            .filter(|(s, _)| mask & (1 << s) != 0)
+            .map(|(s, name)| {
+                written[s].push(version);
+                let key = ShardKey::new(*name, StatePart::Weights, version);
+                (key, payload(s, version, i as u8))
+            })
+            .collect();
+        writer
+            .persist(version, shards.iter().map(|(k, p)| (k, &p[..])))
+            .expect("memory store persists");
+        writer.gc().expect("memory store prunes");
+
+        let chain = ChainStore::load(store.clone()).unwrap();
+        let committed = chain.committed_versions();
+        let script_versions: Vec<u64> = (1..=i as u64 + 1).map(|n| 10 * n).collect();
+        // The newest `keep_last` versions are always committed, and every
+        // slot there resolves to its newest persisted version.
+        let anchored = &script_versions[script_versions.len().saturating_sub(keep_last)..];
+        for &v in anchored {
+            assert!(committed.contains(&v), "{cell}: v{v} not committed");
+            for (s, name) in SLOTS.iter().enumerate() {
+                let want = written[s].iter().copied().rfind(|&u| u <= v);
+                let got = chain.latest_version(name, StatePart::Weights, v).unwrap();
+                assert_eq!(got, want, "{cell}: {name} at v{v}");
+            }
+        }
+        // Whatever any committed version still resolves reconstructs
+        // bitwise.
+        for &v in &committed {
+            for (s, name) in SLOTS.iter().enumerate() {
+                let Some(u) = chain.latest_version(name, StatePart::Weights, v).unwrap() else {
+                    continue;
+                };
+                let idx = script_versions.iter().position(|&x| x == u).unwrap();
+                let got = chain
+                    .get(&ShardKey::new(*name, StatePart::Weights, u))
+                    .unwrap()
+                    .expect("resolved version is served");
+                assert_eq!(
+                    &got[..],
+                    &payload(s, u, idx as u8)[..],
+                    "{cell}: {name}@{u}"
+                );
+            }
+        }
+    }
+
+    let mut keys = store.keys().unwrap();
+    keys.sort();
+    for key in keys {
+        fnv1a(hash, key.to_string().as_bytes());
+        fnv1a(hash, b"\n");
+    }
+}
+
+/// GC under partial expert persistence: a skipped expert keeps its only
+/// version, superseded versions go, every version the chain still
+/// reports reconstructs bitwise, and the surviving key set is pinned
+/// across commits by a digest.
+#[test]
+fn gc_under_partial_persistence_keeps_anchors_and_matches_committed_keys() {
+    for (script, &committed) in GC_SCRIPTS.iter().zip(&GC_KEY_DIGESTS) {
+        let mut observed = 0xCBF2_9CE4_8422_2325u64;
+        for keep_last in [1usize, 2, 3] {
+            for rebase_interval in [1u64, 3] {
+                run_gc_script(script, keep_last, rebase_interval, &mut observed);
+            }
+        }
+        assert_eq!(
+            observed, committed,
+            "script {script:?}: GC key digest is {observed:#018x}, committed {committed:#018x} — \
+             GC now keeps a different key set; if that is deliberate, paste the observed digest \
+             into GC_KEY_DIGESTS and explain it"
+        );
+    }
 }
