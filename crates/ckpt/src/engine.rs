@@ -24,14 +24,13 @@ use moc_core::twolevel::ShardJob;
 use moc_obs::{ckpt_flow_id, Flow, SpanKind, TraceSink};
 use moc_store::{NodeMemoryStore, ObjectStore, ShardKey};
 use parking_lot::{Condvar, Mutex};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Aggregated work counters of an engine (or several, via
 /// [`EngineStats::merge`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Checkpoint batches submitted.
     pub batches: u64,

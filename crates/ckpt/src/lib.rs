@@ -1,9 +1,10 @@
 //! # moc-ckpt — the asynchronous sharded checkpoint engine
 //!
-//! Where `moc_core::twolevel` models the paper's triple-buffer agents and
-//! `moc-train` serializes module state, this crate owns the checkpoint
-//! *data path* end to end — snapshot → shard → persist — as a pipeline
-//! instead of a blocking call:
+//! The one checkpoint engine. Where `moc_core::twolevel` models the
+//! paper's Fig. 9 triple buffer and defines the `ShardJob` a checkpoint
+//! submits, and `moc-train` serializes module state, this crate owns the
+//! checkpoint *data path* end to end — snapshot → shard → persist — as a
+//! pipeline instead of a blocking call:
 //!
 //! * [`plan`] — partial-expert shard selection (PEC-FSS): the rotating
 //!   `K_snapshot` / `K_persist` expert sets, with per-rank byte workloads

@@ -24,13 +24,12 @@ use crate::pool::BufferPool;
 use bytes::Bytes;
 use moc_store::frame::crc32;
 use moc_store::{BatchShard, ObjectStore, ShardKey, StatePart, StoreError};
-use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Work counters of one writer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WriterStats {
     /// Committed checkpoint batches (manifests written).
     pub checkpoints: u64,
@@ -320,8 +319,7 @@ impl ShardWriter {
         // recovery): entries at or above it are stale re-execution
         // targets — the replay will re-commit them in order — so they
         // drop here, keeping the chain ascending and duplicate-free
-        // (the sortedness GC's anchor and `Manifest::prunable` rely
-        // on).
+        // (the sortedness GC's keep anchor relies on).
         self.chain.retain(|e| e.version < version);
         self.chain.push(entry);
         batch.checkpoints = 1;
@@ -350,11 +348,11 @@ impl ShardWriter {
     /// Chain-aware garbage collection over this writer's committed view.
     ///
     /// The prune anchor is the `gc_keep_last`-newest committed version:
-    /// [`moc_core::manifest::Manifest::prunable`] over the chain's
-    /// records nominates every shard version superseded before that
-    /// anchor. A nominated shard is *doomed* unless a retained record
-    /// still needs it — directly (a dedup re-commit re-records an old
-    /// key) or as the full base of a retained delta — so superseded
+    /// every shard version the chain's records show superseded at that
+    /// anchor is nominated (see `superseded_before`). A nominated shard
+    /// is *doomed* unless a retained record still needs it — directly (a
+    /// dedup re-commit re-records an old key) or as the full base of a
+    /// retained delta — so superseded
     /// full+delta groups are dropped while every version the chain still
     /// reports keeps reconstructing bitwise.
     ///
@@ -381,30 +379,12 @@ impl ShardWriter {
             return Ok(());
         }
         let keep_from = self.chain[self.chain.len() - self.config.gc_keep_last].version;
-
-        // The writer's committed view as a core manifest: per-slot
-        // version lists feeding the prunable-shard nomination.
-        let mut manifest = moc_core::Manifest::new();
-        for entry in &self.chain {
-            for record in &entry.shards {
-                manifest.record(&record.key.module, record.key.part, record.key.version);
-            }
-            manifest.complete_checkpoint(entry.version);
-        }
-        // Nomination as a ShardKey set: every membership probe below
-        // reuses a record's existing key reference instead of cloning
-        // its module string (GC runs on the background persist thread,
-        // which sits on the checkpoint critical path in sync mode).
-        let nominated: std::collections::HashSet<ShardKey> = manifest
-            .prunable(keep_from)
-            .into_iter()
-            .map(|(module, part, version)| ShardKey::new(module, part, version))
-            .collect();
+        let nominated = superseded_before(&self.chain, keep_from);
 
         // Partition the chain's keys: a nominated key survives only if a
         // kept record still needs it as its delta base (delta -> full is
         // one level, so a single closure pass suffices).
-        let mut kept: std::collections::HashSet<ShardKey> = std::collections::HashSet::new();
+        let mut kept: HashSet<ShardKey> = HashSet::new();
         for entry in &self.chain {
             for record in &entry.shards {
                 if !nominated.contains(&record.key) {
@@ -427,8 +407,7 @@ impl ShardWriter {
         }
         // Per-slot candidate versions (nominated and unneeded), for the
         // stored-prefix scan below.
-        let mut cand_by_slot: BTreeMap<(String, StatePart), std::collections::HashSet<u64>> =
-            BTreeMap::new();
+        let mut cand_by_slot: BTreeMap<(String, StatePart), HashSet<u64>> = BTreeMap::new();
         for entry in &self.chain {
             for record in &entry.shards {
                 let k = &record.key;
@@ -458,7 +437,7 @@ impl ShardWriter {
                 .or_default()
                 .push(key.version);
         }
-        let mut doomed: std::collections::HashSet<ShardKey> = std::collections::HashSet::new();
+        let mut doomed: HashSet<ShardKey> = HashSet::new();
         let mut prune_bounds: Vec<(String, StatePart, u64)> = Vec::new();
         for ((module, part), candidates) in &cand_by_slot {
             let Some(versions) = stored.get_mut(&(module.clone(), *part)) else {
@@ -534,6 +513,33 @@ impl ShardWriter {
         self.stats.gc_pruned_manifests += pruned_manifests;
         Ok(())
     }
+}
+
+/// GC's nomination over a committed chain: per slot, every recorded
+/// version older than the slot's *anchor* — its newest version
+/// `≤ keep_from`. The anchor itself is never nominated, so a slot PEC
+/// skipped since its last persist keeps that version, and a slot with no
+/// version at or below `keep_from` nominates nothing.
+///
+/// Returned as a `ShardKey` set so GC's membership probes reuse a
+/// record's key reference instead of cloning its module string (GC runs
+/// on the background persist thread, which sits on the checkpoint
+/// critical path in sync mode).
+fn superseded_before(chain: &[ManifestEntry], keep_from: u64) -> HashSet<ShardKey> {
+    let keys = || chain.iter().flat_map(|e| &e.shards).map(|r| &r.key);
+    let mut anchors: HashMap<(&str, StatePart), u64> = HashMap::new();
+    for key in keys().filter(|k| k.version <= keep_from) {
+        let anchor = anchors.entry((&key.module, key.part)).or_default();
+        *anchor = (*anchor).max(key.version);
+    }
+    keys()
+        .filter(|k| {
+            anchors
+                .get(&(k.module.as_str(), k.part))
+                .is_some_and(|&anchor| k.version < anchor)
+        })
+        .cloned()
+        .collect()
 }
 
 #[cfg(test)]
@@ -844,6 +850,44 @@ mod tests {
         // Writer 1's chain still validates and serves its shard.
         let view = ChainStore::load_for_writers(store, &[1]).unwrap();
         assert_eq!(&view.get(&foreign).unwrap().unwrap()[..], &fp[..]);
+    }
+
+    /// The nomination keeps each slot's anchor: a skipped expert's only
+    /// version survives, and versions newer than the keep point are
+    /// never nominated.
+    #[test]
+    fn nomination_spares_anchors_and_newer_versions() {
+        let entry = |version: u64, modules: &[&str]| ManifestEntry {
+            version,
+            prev: None,
+            shards: modules
+                .iter()
+                .map(|m| ShardRecord {
+                    key: ShardKey::new(*m, StatePart::Weights, version),
+                    kind: ShardKind::Full,
+                    stored_crc: 0,
+                    stored_len: 0,
+                    raw_len: 0,
+                })
+                .collect(),
+        };
+        // The non-expert persists every time; expert0 only at 10,
+        // expert1 only at 20.
+        let chain = [
+            entry(10, &["embedding", "layer1.expert0"]),
+            entry(20, &["embedding", "layer1.expert1"]),
+            entry(30, &["embedding"]),
+        ];
+        let key = |m: &str, v: u64| ShardKey::new(m, StatePart::Weights, v);
+        assert_eq!(
+            superseded_before(&chain, 30),
+            HashSet::from([key("embedding", 10), key("embedding", 20)])
+        );
+        assert_eq!(
+            superseded_before(&chain, 20),
+            HashSet::from([key("embedding", 10)])
+        );
+        assert!(superseded_before(&chain, 5).is_empty());
     }
 
     #[test]

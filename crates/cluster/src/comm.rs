@@ -7,10 +7,9 @@
 //! that confining EP inside a node (Case 3) beats spanning nodes (Case 2).
 
 use crate::hardware::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Where a process group physically lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroupSpan {
     /// All ranks of the group share one node.
     IntraNode,
@@ -31,7 +30,7 @@ impl GroupSpan {
 }
 
 /// α–β collective cost model for one GPU class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommModel {
     gpu: GpuSpec,
     gpus_per_node: usize,

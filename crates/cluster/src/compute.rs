@@ -9,10 +9,9 @@ use crate::comm::CommModel;
 use crate::hardware::ClusterSpec;
 use moc_core::ParallelTopology;
 use moc_moe::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Workload description for one training iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationWorkload {
     /// Sequence length of the batch.
     pub seq_len: usize,
@@ -32,7 +31,7 @@ impl IterationWorkload {
 }
 
 /// Breakdown of the F&B window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FbBreakdown {
     /// Pure compute seconds (forward + backward matmuls).
     pub compute_sec: f64,

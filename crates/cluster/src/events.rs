@@ -10,10 +10,9 @@
 //! requested interval.
 
 use moc_core::twolevel::{BufferId, SnapshotOutcome, TripleBuffer};
-use serde::{Deserialize, Serialize};
 
 /// Inputs of the event simulation (all seconds / iterations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventSimConfig {
     /// F&B window per iteration.
     pub fb_sec: f64,
@@ -30,7 +29,7 @@ pub struct EventSimConfig {
 }
 
 /// Output of the event simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventSimReport {
     /// Total simulated wall-clock seconds.
     pub total_sec: f64,

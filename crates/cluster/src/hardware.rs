@@ -7,10 +7,9 @@
 //! intra-node All-to-All beating Case 2's inter-node one).
 
 use moc_store::{StorageHierarchy, TierLink};
-use serde::{Deserialize, Serialize};
 
 /// One GPU class plus its node-level interconnects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Peak dense throughput in TFLOPS.
     pub peak_tflops: f64,
@@ -58,7 +57,7 @@ impl GpuSpec {
 }
 
 /// A homogeneous cluster of GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// GPU class.
     pub gpu: GpuSpec,

@@ -12,10 +12,9 @@ use crate::hardware::ClusterSpec;
 use crate::timeline::{Fig12Row, MethodSpec, TimelineModel};
 use moc_core::topology::ParallelTopology;
 use moc_moe::presets::{llama_moe, LlamaMoeSize};
-use serde::{Deserialize, Serialize};
 
 /// Parallelism flavours of Fig. 13(a-c).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
     /// ZeRO-2 DP + EP, one expert per GPU per layer.
     DpEp,
@@ -34,7 +33,7 @@ impl Parallelism {
 }
 
 /// One point of a Fig. 13 sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// GPUs in the cluster.
     pub gpus: usize,
@@ -51,7 +50,7 @@ pub struct ScalingPoint {
 }
 
 /// Configuration of a scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepConfig {
     /// Cluster hardware.
     pub cluster: ClusterSpec,

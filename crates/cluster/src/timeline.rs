@@ -17,14 +17,13 @@ use moc_core::selection::PecConfig;
 use moc_core::sharding::{CheckpointWorkload, ShardingPlanner, ShardingStrategy};
 use moc_core::topology::ParallelTopology;
 use moc_moe::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Fixed software overhead of triggering an asynchronous checkpoint
 /// (thread handoff, bookkeeping) that cannot be overlapped.
 pub const ASYNC_SYNC_OVERHEAD_SEC: f64 = 0.06;
 
 /// One of the paper's checkpointing methods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodSpec {
     /// Display label.
     pub label: &'static str,
@@ -86,7 +85,7 @@ impl MethodSpec {
 }
 
 /// Per-phase durations of a training iteration that checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationTimeline {
     /// Forward + backward window (`T_F&B`).
     pub fb_sec: f64,
@@ -209,7 +208,7 @@ impl TimelineModel {
 }
 
 /// The headline Fig. 12 comparison for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12Row {
     /// Configuration label (e.g. "Case1").
     pub case: String,

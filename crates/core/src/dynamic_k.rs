@@ -8,8 +8,6 @@
 //! (halving the per-fault PLT increment), repeating until all experts are
 //! checkpointed.
 
-use serde::{Deserialize, Serialize};
-
 /// The accuracy-safe PLT threshold observed in Fig. 5.
 pub const DEFAULT_PLT_BUDGET: f64 = 0.0375;
 
@@ -33,7 +31,7 @@ pub const DEFAULT_PLT_BUDGET: f64 = 0.0375;
 /// }
 /// assert!(ctl.k() > 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicK {
     k: usize,
     num_experts: usize,

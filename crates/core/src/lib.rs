@@ -13,8 +13,9 @@
 //!   substrate of `moc-elastic`'s shrink/expand recovery;
 //! * [`sharding`] — baseline / equal-expert / equal / adaptive non-expert
 //!   checkpoint sharding with bottleneck-rank analysis (Section 4, Fig. 10);
-//! * [`twolevel`] — triple-buffered asynchronous snapshot/persist agents
-//!   and the integrated [`CheckpointEngine`] (Section 5, Fig. 8–9);
+//! * [`twolevel`] — the Fig. 9 triple-buffer model and the
+//!   [`twolevel::ShardJob`] a checkpoint hands to `moc_ckpt::CkptEngine`,
+//!   the one asynchronous snapshot/persist engine (Section 5);
 //! * [`recovery`] — two-level recovery planning (Fig. 8);
 //! * [`overhead`] — the closed-form overhead model and adaptive
 //!   configuration (Eqs. 3–16).
@@ -33,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod dynamic_k;
-pub mod manifest;
 pub mod overhead;
 pub mod placement;
 pub mod plt;
@@ -44,7 +44,6 @@ pub mod topology;
 pub mod twolevel;
 
 pub use dynamic_k::DynamicK;
-pub use manifest::Manifest;
 pub use overhead::{AdaptivePecChoice, AdaptivePecInputs, OverheadInputs};
 pub use placement::{domain_of_group, num_failure_domains, PlacementError, PlacementPlan};
 pub use plt::{analytic_plt, PltAccumulator, PltReport, PltSimulation};
@@ -55,4 +54,4 @@ pub use sharding::{
     ShardingPlanner, ShardingStrategy,
 };
 pub use topology::{ParallelTopology, RankCoord, TopologyError};
-pub use twolevel::{CheckpointEngine, EngineConfig, StateSource, SyntheticState, TripleBuffer};
+pub use twolevel::TripleBuffer;

@@ -16,10 +16,8 @@
 //! the overhead-minimising checkpoint interval, and the adaptive
 //! `(K_snapshot, K_persist)` configuration scheme of Section 5.3.
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs to the overhead model, all in seconds / iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadInputs {
     /// Per-checkpoint saving overhead `O_save`, in seconds of training
     /// time lost.
@@ -101,7 +99,7 @@ pub fn moc_beats_full(
 }
 
 /// Inputs for choosing `(K_snapshot, K_persist)` adaptively (Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePecInputs {
     /// Experts per MoE layer (`N`).
     pub num_experts: usize,
@@ -119,7 +117,7 @@ pub struct AdaptivePecInputs {
 }
 
 /// The adaptive configuration chosen for two-level PEC.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptivePecChoice {
     /// Chosen `K_snapshot`.
     pub k_snapshot: usize,

@@ -17,7 +17,6 @@
 
 use crate::topology::ParallelTopology;
 use moc_moe::ExpertId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -108,7 +107,7 @@ pub fn num_failure_domains(topo: &ParallelTopology) -> usize {
 /// shard groups hosting the expert's checkpoint duties, the original
 /// primary first; `owner[i]` is the group *currently* owning the expert
 /// — equal to `replicas[i][0]` until a shrink migrates it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementPlan {
     replication: usize,
     num_groups: usize,

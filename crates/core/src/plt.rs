@@ -19,10 +19,9 @@ use crate::selection::PecConfig;
 use crate::topology::ParallelTopology;
 use moc_moe::LoadModel;
 use moc_store::FaultEvent;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates measured token losses per MoE layer across faults.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PltAccumulator {
     lost: Vec<u64>,
     processed: Vec<u64>,
@@ -119,7 +118,7 @@ pub struct PltSimulation {
 }
 
 /// Result of a PLT simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PltReport {
     /// Final PLT (Eq. 7).
     pub plt: f64,

@@ -8,11 +8,10 @@
 //! restore traffic and PLT.
 
 use moc_store::{ClusterMemory, NodeId, ObjectStore, StatePart, StoreError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a module's freshest recoverable state lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoverySource {
     /// In the CPU memory of a healthy node.
     Memory {
@@ -24,7 +23,7 @@ pub enum RecoverySource {
 }
 
 /// One restore action of a recovery plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryAction {
     /// Module to restore.
     pub module: String,
@@ -37,7 +36,7 @@ pub struct RecoveryAction {
 }
 
 /// A complete recovery plan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// Iteration training resumes from (the recovery baseline `r`).
     pub resume_iteration: u64,

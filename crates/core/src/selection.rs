@@ -15,10 +15,9 @@
 //!   updates, using an [`ExpertLoadTracker`].
 
 use moc_moe::{ExpertId, ExpertLoadTracker};
-use serde::{Deserialize, Serialize};
 
 /// PEC expert-selection strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectionStrategy {
     /// Save every expert (conventional full checkpointing).
     Full,
@@ -29,7 +28,7 @@ pub enum SelectionStrategy {
 }
 
 /// Configuration of the PEC mechanism for one checkpoint level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PecConfig {
     /// Experts saved per MoE layer per checkpoint (`K_pec`).
     pub k: usize,

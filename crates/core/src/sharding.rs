@@ -23,11 +23,10 @@ use crate::selection::PecConfig;
 use crate::topology::ParallelTopology;
 use moc_moe::{ExpertId, MoeModelConfig};
 use moc_store::StatePart;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which sharding strategy to plan with (the Fig. 10 x-axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardingStrategy {
     /// Megatron-DeepSpeed default: rank 0 + EP-group-0 (Fig. 7(a)).
     Baseline,
@@ -67,7 +66,7 @@ impl fmt::Display for ShardingStrategy {
 }
 
 /// One unit of state a rank must write at a checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveItem {
     /// Module name the bytes belong to.
     pub module: String,
@@ -78,7 +77,7 @@ pub struct SaveItem {
 }
 
 /// Per-rank checkpoint workload.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankWorkload {
     /// Non-expert ZeRO optimizer shard bytes.
     pub non_expert_optimizer: u64,
@@ -104,7 +103,7 @@ impl RankWorkload {
 }
 
 /// The planned checkpoint workload of all DP ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointWorkload {
     /// Workloads indexed by DP rank.
     pub per_rank: Vec<RankWorkload>,

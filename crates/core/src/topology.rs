@@ -7,8 +7,6 @@
 //! `dp > ep` there are `dp / ep` EP groups each holding a full replica of
 //! the experts (Fig. 6). [`ParallelTopology`] captures that layout plus the
 //! physical node mapping and provides the Table-2 experiment cases.
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing a topology.
@@ -41,7 +39,7 @@ pub enum TopologyError {
 /// checkpoint duties — occupy consecutive global ranks, so the physical
 /// node mapping of [`ParallelTopology::node_of`] stays consistent between
 /// the per-DP-rank and per-global-rank views.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RankCoord {
     /// Data-parallel index (`0..dp`): which gradient-group member.
     pub dp: usize,
@@ -74,7 +72,7 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// A hybrid-parallel training topology (DP × TP × PP with EP inside DP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParallelTopology {
     nodes: usize,
     gpus_per_node: usize,

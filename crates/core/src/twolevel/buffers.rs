@@ -1,6 +1,7 @@
 //! Triple buffering for asynchronous two-level checkpointing — Fig. 9.
 //!
-//! Each node agent owns three buffers cycling through statuses:
+//! In the paper's per-node agent (Section 5.2), three buffers cycle
+//! through statuses:
 //!
 //! ```text
 //! Free ──begin_snapshot──▶ Snapshotting ──finish_snapshot──▶ Ready
@@ -15,12 +16,10 @@
 //! * at most one buffer is `Recovery` (the latest persisted checkpoint);
 //! * a snapshot can only start into a `Free` buffer — if none is free the
 //!   caller must stall (the checkpoint stall "S" of Fig. 3).
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of one of the three buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub usize);
 
 impl fmt::Display for BufferId {
@@ -30,7 +29,7 @@ impl fmt::Display for BufferId {
 }
 
 /// Lifecycle status of a buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferState {
     /// Empty / reusable ("snapshot status" in Fig. 9).
     Free,
@@ -89,7 +88,7 @@ pub enum SnapshotOutcome {
 }
 
 /// The triple-buffer state machine of one node agent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TripleBuffer {
     states: [BufferState; 3],
     /// Versions (checkpoint iterations) held by each buffer, for recovery

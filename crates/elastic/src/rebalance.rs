@@ -15,11 +15,10 @@
 
 use moc_core::placement::{PlacementError, PlacementPlan};
 use moc_moe::ExpertId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rebalance computed when `dead_groups` are lost.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShrinkPlan {
     /// Shard groups that died (DP indices).
     pub dead_groups: BTreeSet<usize>,
@@ -40,7 +39,7 @@ impl ShrinkPlan {
 }
 
 /// The rebalance computed when `returning_groups` rejoin.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpandPlan {
     /// Shard groups that rejoined.
     pub returning_groups: BTreeSet<usize>,

@@ -5,8 +5,6 @@
 //! replaced by MoE layers, how many experts each MoE layer holds, and how many
 //! bytes each parameter contributes to a checkpoint (weight bytes `B_w` and
 //! optimizer-state bytes `B_o`, following Eq. 5 of the paper).
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bytes contributed by a single parameter to a checkpoint.
@@ -27,7 +25,7 @@ use std::fmt;
 /// assert_eq!(b.optimizer, 12);
 /// assert_eq!(b.total(), 14);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateBytes {
     /// Bytes per parameter for the learnable weight (`B_w`).
     pub weight: u64,
@@ -139,7 +137,7 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(cfg.num_moe_layers(), 2);
 /// # Ok::<(), moc_moe::ConfigError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoeModelConfig {
     name: String,
     num_layers: usize,

@@ -7,7 +7,6 @@
 //! applies capacity limits (GShard-style) and reports dropped tokens.
 
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable softmax over a logit slice.
 ///
@@ -68,7 +67,7 @@ pub fn top_k_gate(logits: &[f64], k: usize) -> Vec<(usize, f64)> {
 }
 
 /// Configuration of a gating network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatingConfig {
     /// Number of experts `N`.
     pub num_experts: usize,
@@ -91,7 +90,7 @@ impl GatingConfig {
 }
 
 /// Outcome of dispatching one batch of tokens through a gate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchOutcome {
     /// Tokens accepted per expert (post-capacity).
     pub accepted: Vec<u64>,

@@ -7,14 +7,13 @@
 //! byte sizes.
 
 use crate::config::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identity of an expert: `(MoE-layer position, expert index)`.
 ///
 /// The layer coordinate is the *position among MoE layers* (0-based `l` used
 /// by sequential selection), not the transformer layer index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExpertId {
     /// Position among the MoE layers (0-based).
     pub layer: usize,
@@ -36,7 +35,7 @@ impl fmt::Display for ExpertId {
 }
 
 /// What kind of parameters a module holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// Token + position embeddings (non-expert).
     Embedding,
@@ -72,7 +71,7 @@ impl ModuleKind {
 }
 
 /// A shardable unit of model state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleDesc {
     /// Stable name usable as a checkpoint key (e.g. `"layer3.expert5"`).
     pub name: String,

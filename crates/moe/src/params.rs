@@ -5,13 +5,12 @@
 //! and reproduce the checkpoint composition of Fig. 2.
 
 use crate::config::MoeModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Parameter counts broken down by component.
 ///
 /// `P_ne` (non-expert) and `P_e` (expert) of Eq. 5 are exposed as
 /// [`ParamCounts::non_expert`] and [`ParamCounts::expert`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParamCounts {
     /// Token + position embedding parameters.
     pub embedding: u64,
@@ -56,7 +55,7 @@ impl ParamCounts {
 }
 
 /// Byte-level composition of a full checkpoint, reproducing Fig. 2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointComposition {
     /// Bytes of expert weights.
     pub expert_weights: u64,

@@ -2,7 +2,6 @@
 //! configurations used by the scaling simulations (Section 6.2.4).
 
 use crate::config::{MoeModelConfig, StateBytes};
-use serde::{Deserialize, Serialize};
 
 /// GPT-125M-8E (Table 1): 12 layers, hidden 768, 12 heads, 6 MoE layers,
 /// 8 experts per layer, ≈323M parameters. Used for the PLT correlation
@@ -60,7 +59,7 @@ pub fn swinv2_moe() -> MoeModelConfig {
 }
 
 /// Size classes for the LLaMA-like scaling models of Fig. 13(e).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LlamaMoeSize {
     /// Hidden size 1024 ("Small").
     Small,

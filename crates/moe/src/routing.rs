@@ -9,10 +9,9 @@
 
 use crate::modules::ExpertId;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How token load distributes across experts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LoadProfile {
     /// Every expert receives the same number of tokens (auxiliary-loss
     /// balanced training, the common steady state).
@@ -156,7 +155,7 @@ fn proportional_split(total: u64, weights: &[f64]) -> Vec<u64> {
 /// Tracks, per expert, the token-update volume not yet captured by any
 /// checkpoint — the `L_{i,j}` inputs of the PLT metric (Eq. 7) and the
 /// priority signal for load-aware selection (Section 3.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpertLoadTracker {
     num_layers: usize,
     num_experts: usize,

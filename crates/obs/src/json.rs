@@ -1,8 +1,7 @@
 //! A minimal JSON value: build, print (compact or pretty), parse.
 //!
-//! The workspace's vendored `serde` is an offline API stand-in whose
-//! derives emit nothing, so real serialization is done through this
-//! module. Object fields keep insertion order, which keeps emitted
+//! Every report and artifact the workspace writes is serialized through
+//! this module. Object fields keep insertion order, which keeps emitted
 //! reports diffable; numbers are `f64` (integers print without a
 //! fractional part while exactly representable, i.e. below 2^53).
 

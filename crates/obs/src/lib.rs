@@ -56,8 +56,8 @@
 //!   suspicion detector's corroboration hook (a degraded rank is
 //!   declared one lease window sooner).
 //!
-//! [`json`] is a minimal JSON value (build/print/parse — the vendored
-//! `serde` is an API stand-in with no runtime behaviour) and [`report`]
+//! [`json`] is a minimal JSON value (build/print/parse — the
+//! workspace's one serializer) and [`report`]
 //! renders human-readable phase/timeline tables plus schema'd JSON
 //! reports for the benches.
 //!

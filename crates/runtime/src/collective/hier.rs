@@ -47,7 +47,9 @@
 //!
 //! Identical discipline to the ring: every blocking receive carries a
 //! deadline and a dead peer turns the collective into a [`RingAbort`]
-//! instead of a hang. The caller reports the abort; the coordinator
+//! instead of a hang. As on the ring, the mesh keeps its channel ends, so
+//! a dead peer reaches its neighbours only as a receive timeout, never as
+//! a disconnected inbox. The caller reports the abort; the coordinator
 //! recovers, rebuilds the mesh and resumes on it.
 
 use super::buffers::{ChunkPool, PooledBuf};
@@ -209,6 +211,10 @@ impl HierMesh {
     }
 
     /// The endpoints slot `slot` needs to participate.
+    ///
+    /// They are clones of channel ends the mesh keeps, so while the mesh
+    /// lives, dropping a slot's endpoints (a killed rank) never
+    /// disconnects its peers' links: they see silence, not `Disconnected`.
     pub fn endpoints(&self, slot: usize) -> HierEndpoints {
         assert!(
             slot < self.world,
@@ -302,8 +308,10 @@ fn take(
 ///
 /// # Errors
 ///
-/// Returns [`RingAbort`] when a peer stops responding (died or
-/// disconnected) for longer than `timeout`.
+/// Returns [`RingAbort`] when a peer stops responding for longer than
+/// `timeout` — a dead peer shows up only this way, since the mesh keeps
+/// its links connected — or when the slot's inbox disconnects, which
+/// needs the mesh and every peer's endpoints dropped.
 pub fn hier_all_reduce(
     ep: &HierEndpoints,
     grad: &mut [f32],
@@ -646,6 +654,40 @@ mod tests {
             let result = h.join().unwrap();
             assert!(result.is_err(), "survivors must abort, not hang");
         }
+    }
+
+    /// A killed slot drops its endpoints, but the mesh keeps every inbox
+    /// and sender: the dead leader's neighbours (the previous leader and
+    /// its own member) see an empty inbox (never `Disconnected`), and
+    /// sends towards the dead slot still succeed.
+    #[test]
+    fn dropped_endpoints_never_disconnect_neighbours() {
+        use crossbeam::channel::TryRecvError;
+        let mesh = HierMesh::new(&[0, 0, 1, 1], 8, 4);
+        let head = mesh.endpoints(0);
+        let member = mesh.endpoints(3);
+        drop(mesh.endpoints(2));
+        let msg = || HierMsg {
+            epoch: 0,
+            iteration: 1,
+            leg: Leg::Reduce,
+            from: 0,
+            chunk_index: 0,
+            buf: mesh.pool().try_get(4).unwrap(),
+        };
+        for ep in [&head, &member] {
+            assert_eq!(ep.recv.try_recv().err(), Some(TryRecvError::Empty));
+        }
+        let HierRole::Leader(links) = &head.role else {
+            panic!("slot 0 leads its node");
+        };
+        let (next, to_next) = links.next_leader.as_ref().unwrap();
+        assert_eq!(*next, 2);
+        assert!(to_next.send(msg()).is_ok());
+        let HierRole::Member { leader } = &member.role else {
+            panic!("slot 3 is a member of slot 2's node");
+        };
+        assert!(leader.send(msg()).is_ok());
     }
 
     #[test]

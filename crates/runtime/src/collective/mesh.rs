@@ -133,6 +133,11 @@ impl RingMesh {
     /// The endpoints rank `rank` needs to participate: sender on the link
     /// towards `(rank + 1) % world`, receiver on the link from
     /// `(rank + world - 1) % world`.
+    ///
+    /// They are clones of channel ends the mesh keeps, so while the mesh
+    /// lives, dropping a rank's endpoints (a killed rank) never
+    /// disconnects its neighbours' links: they see silence, not
+    /// `Disconnected`.
     pub fn endpoints(&self, rank: usize) -> RingEndpoints {
         assert!(
             rank < self.world,
@@ -191,6 +196,30 @@ mod tests {
             })
             .unwrap();
         assert_eq!(e0.recv.try_recv().unwrap().chunk_index, 5);
+    }
+
+    /// A killed rank drops its endpoints, but the mesh keeps both ends of
+    /// every link: the neighbours see an empty channel (never
+    /// `Disconnected`), and sends towards the dead rank still succeed.
+    #[test]
+    fn dropped_endpoints_never_disconnect_neighbours() {
+        use crossbeam::channel::TryRecvError;
+        let mesh = RingMesh::new(3, 8, 4);
+        let e0 = mesh.endpoints(0);
+        let e2 = mesh.endpoints(2);
+        drop(mesh.endpoints(1));
+        // Rank 2's predecessor is the dead rank 1.
+        assert_eq!(e2.recv.try_recv().err(), Some(TryRecvError::Empty));
+        // Rank 0's successor is the dead rank 1.
+        let buf = mesh.pool().try_get(4).unwrap();
+        let msg = RingMsg {
+            epoch: 0,
+            iteration: 1,
+            leg: Leg::Reduce,
+            chunk_index: 0,
+            buf,
+        };
+        assert!(e0.send.send(msg).is_ok());
     }
 
     #[test]

@@ -25,11 +25,19 @@
 //!
 //! # Fault behaviour
 //!
-//! Every blocking receive carries a deadline. A dead peer (or a peer
-//! whose channel disconnected) makes the collective return
-//! [`RingAbort`] instead of hanging; the caller reports the abort to the
-//! coordinator, which detects the failure, recovers, rebuilds the mesh,
-//! and resumes on the fresh ring.
+//! Every blocking receive carries a deadline. A dead peer makes the
+//! collective return [`RingAbort`] once the deadline passes, instead of
+//! hanging; the caller reports the abort to the coordinator, which
+//! detects the failure, recovers, rebuilds the mesh, and resumes on the
+//! fresh ring.
+//!
+//! A dead peer never disconnects a channel. `RingMesh::endpoints` hands
+//! out clones of channel ends the mesh keeps, and the coordinator holds
+//! every mesh until its next rebuild, so a killed rank's dropped
+//! endpoints leave its neighbours' links connected: the death reaches the
+//! ring only as a receive timeout. The `Disconnected` arms below handle
+//! an error the channel API can still return — once the mesh *and* the
+//! peer's endpoints are both gone — not a fault signal.
 //! Aborting never corrupts state: the local gradient buffer is rebuilt
 //! from scratch next iteration and an aborted iteration is never applied.
 
@@ -81,8 +89,11 @@ impl std::fmt::Display for RingAbort {
 ///
 /// # Errors
 ///
-/// Returns [`RingAbort`] when a peer stops responding (died or
-/// disconnected) for longer than `timeout`.
+/// Returns [`RingAbort`] when a peer stops responding for longer than
+/// `timeout` — a dead peer shows up only this way, since the mesh keeps
+/// its links connected (see the module docs) — or when the ring's
+/// channel disconnects, which needs the mesh and the peer's endpoints
+/// both dropped.
 pub fn ring_all_reduce(
     ep: &RingEndpoints,
     grad: &mut [f32],

@@ -12,12 +12,11 @@ use moc_ckpt::EngineStats;
 use moc_cluster::events::{simulate, EventSimConfig, EventSimReport};
 use moc_cluster::ClusterSpec;
 use moc_obs::{LogHistogram, ObsRunReport};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// A measured phase of the runtime's iteration loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Forward + backward over the rank's sub-batch (max across ranks).
     Compute,
@@ -99,7 +98,7 @@ impl Phase {
 }
 
 /// Accumulated statistics of one phase.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseStats {
     /// Number of recorded occurrences.
     pub count: u64,
@@ -149,7 +148,7 @@ impl PhaseStats {
 }
 
 /// One entry of the run timeline.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEvent {
     /// Run-relative monotonic seconds at which the event was recorded
     /// (anchored at registry creation — coordinator start), ordering
@@ -162,7 +161,7 @@ pub struct TimelineEvent {
 }
 
 /// Kinds of timeline events.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A checkpoint was taken; lists nodes whose agents stalled.
     Checkpoint {
@@ -415,7 +414,7 @@ impl MetricsRegistry {
 }
 
 /// Immutable result of a completed run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunSummary {
     /// `(iteration, validation loss)` curve.
     pub val_curve: Vec<(u64, f32)>,

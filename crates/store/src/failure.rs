@@ -7,11 +7,10 @@
 
 use crate::memory::NodeId;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A single fault event: at the end of iteration `iteration`, node
 /// `node` crashes, losing its GPU and CPU memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Iteration after which the fault strikes.
     pub iteration: u64,
@@ -27,7 +26,7 @@ impl FaultEvent {
 }
 
 /// Declarative description of when faults occur during a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultPlan {
     /// Fault-free training.
     None,

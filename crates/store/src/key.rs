@@ -5,12 +5,10 @@
 //! distributed storage". A [`ShardKey`] names one saved unit of model
 //! state: a module (expert or non-expert layer), which state category it
 //! carries, and the training iteration it was captured at.
-
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which category of state a shard carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StatePart {
     /// Learnable weights (`B_w` bytes per parameter).
     Weights,
@@ -50,7 +48,7 @@ impl fmt::Display for StatePart {
 /// let key = ShardKey::new("layer3.expert5", StatePart::Optimizer, 2000);
 /// assert_eq!(key.to_string(), "layer3.expert5@o:2000");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ShardKey {
     /// Module name (see `moc_moe::ModuleDesc::name`), e.g. `"layer3.expert5"`.
     pub module: String,

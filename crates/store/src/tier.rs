@@ -6,8 +6,6 @@
 //! constants (Section 6.2.4: 1 GB/s snapshot bandwidth on A800 nodes,
 //! 2 GB/s on H100 nodes) and feed both the analytic overhead model in
 //! `moc-core` and the timeline simulator in `moc-cluster`.
-
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// One gibibyte in bytes.
@@ -16,7 +14,7 @@ pub const GIB: u64 = 1 << 30;
 pub const GB: u64 = 1_000_000_000;
 
 /// Bandwidth/latency description of a transfer path between tiers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierLink {
     /// Sustained bandwidth in bytes per second.
     pub bandwidth_bytes_per_sec: f64,
@@ -82,7 +80,7 @@ impl TierLink {
 }
 
 /// Bandwidths of the full two-level hierarchy for one node class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StorageHierarchy {
     /// GPU→CPU snapshot path (PCIe; per GPU).
     pub snapshot: TierLink,

@@ -5,10 +5,9 @@
 //! (Fig. 2) and is exactly what persist-PEC selectively skips.
 
 use crate::params::ParamStore;
-use serde::{Deserialize, Serialize};
 
 /// Adam hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub lr: f32,

@@ -23,12 +23,11 @@ use moc_core::selection::PecConfig;
 use moc_core::topology::ParallelTopology;
 use moc_moe::{ExpertId, ExpertLoadTracker};
 use moc_store::{ClusterMemory, MemoryObjectStore, NodeId, ObjectStore, ShardKey, StatePart};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which state categories PEC applies to (Fig. 14(a)'s W / O / WO).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PecMode {
     /// Apply PEC to model weights.
     pub weights: bool,
@@ -77,7 +76,7 @@ pub struct CheckpointerConfig {
 }
 
 /// Outcome of a recovery.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoverySummary {
     /// Iteration training resumes from.
     pub resume_iteration: u64,

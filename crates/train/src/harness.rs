@@ -20,7 +20,6 @@ use moc_core::selection::{PecConfig, SelectionStrategy};
 use moc_core::topology::ParallelTopology;
 use moc_moe::{ExpertLoadTracker, MoeModelConfig};
 use moc_store::FaultEvent;
-use serde::{Deserialize, Serialize};
 
 /// Training-run configuration.
 #[derive(Debug, Clone)]
@@ -167,7 +166,7 @@ impl FaultToleranceConfig {
 }
 
 /// Result of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// `(iteration, validation loss)` curve.
     pub val_curve: Vec<(u64, f32)>,
@@ -364,7 +363,7 @@ pub fn downstream_suite(
 }
 
 /// Fine-tuning methods of Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FinetuneMethod {
     /// No fine-tuning (the pre-trained base).
     Base,

@@ -7,11 +7,10 @@
 //! optimizer states as well as weights.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One named parameter tensor with gradient and Adam state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Full name, `"{module}/{tensor}"`.
     pub name: String,
@@ -29,10 +28,9 @@ pub struct Param {
 }
 
 /// Ordered, name-indexed parameter collection.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParamStore {
     params: Vec<Param>,
-    #[serde(skip)]
     index: HashMap<String, usize>,
 }
 

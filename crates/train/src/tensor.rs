@@ -27,10 +27,8 @@
 //! add sequence with `j` as the lane. That is why the model keeps
 //! per-pass transposes of its weights, and the only reason.
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major `rows × cols` matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

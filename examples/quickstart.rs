@@ -1,15 +1,12 @@
-//! Quickstart: size a PEC checkpoint, plan fully sharded saving, and take
-//! an asynchronous two-level checkpoint of a (synthetic) model.
+//! Quickstart: size a PEC checkpoint and plan fully sharded saving. The
+//! `runtime_live` example takes it from there: asynchronous two-level
+//! checkpoints of a training run, a node kill, and recovery.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use moc_system::core::selection::PecConfig;
 use moc_system::core::sharding::{ShardingPlanner, ShardingStrategy};
-use moc_system::core::twolevel::{CheckpointEngine, EngineConfig, SyntheticState};
 use moc_system::core::ParallelTopology;
 use moc_system::moe::presets;
-use moc_system::store::MemoryObjectStore;
-use std::sync::Arc;
 
 fn main() {
     // 1. How much does PEC shrink a GPT-350M-16E checkpoint?
@@ -39,35 +36,10 @@ fn main() {
         gib(sharded.bottleneck().1)
     );
 
-    // 3. Take asynchronous two-level PEC checkpoints of a tiny model and
-    //    recover after a node fault.
-    let tiny = presets::tiny_lm_16e();
-    let pec = PecConfig::sequential(4, tiny.num_experts(), tiny.num_moe_layers());
-    let mut engine = CheckpointEngine::new(
-        tiny,
-        ParallelTopology::case2(),
-        Arc::new(MemoryObjectStore::new()),
-        EngineConfig {
-            strategy: ShardingStrategy::FullyShardedAdaptive,
-            snapshot_pec: pec,
-            k_persist: 1,
-            two_level_recovery: true,
-        },
-    )
-    .expect("engine");
-    let state = SyntheticState::full();
-    engine.bootstrap(0, &state);
-    for iteration in [100, 200, 300] {
-        engine.checkpoint(iteration, &state);
-    }
-    engine.wait_idle();
-    engine.fault(0);
-    let plan = engine.recover(350).expect("recoverable");
+    // 3. Asynchronous two-level checkpointing, node faults and recovery
+    //    run on the live multi-rank runtime.
     println!(
-        "after node-0 fault: resume at iteration {}, {} shards from memory, {} from storage",
-        plan.resume_iteration,
-        plan.memory_actions(),
-        plan.storage_actions()
+        "next: `cargo run --release --example runtime_live` checkpoints, kills a node and recovers"
     );
 }
 

@@ -1,58 +1,188 @@
 //! Cross-crate integration tests: the full MoC pipeline from model
 //! description through sharding, asynchronous saving, fault injection and
-//! recovery, on both the synthetic engine and the real training lab.
+//! recovery, on both per-node checkpoint engines fed synthetic state and
+//! the real training lab.
 
+use bytes::Bytes;
+use moc_system::ckpt::{
+    ChainStore, CheckpointSelection, CkptEngine, EngineConfig as CkptConfig, PartialPlan,
+};
 use moc_system::cluster::timeline::fig12_row;
 use moc_system::cluster::ClusterSpec;
 use moc_system::core::plt::{analytic_plt, PltSimulation};
+use moc_system::core::recovery::{fetch_action, plan_recovery, RecoveryPlan};
 use moc_system::core::selection::PecConfig;
-use moc_system::core::sharding::{ShardingPlanner, ShardingStrategy};
-use moc_system::core::twolevel::{CheckpointEngine, EngineConfig, SyntheticState};
+use moc_system::core::sharding::{
+    base_module, expert_module_name, ShardingPlanner, ShardingStrategy,
+};
+use moc_system::core::twolevel::ShardJob;
 use moc_system::core::ParallelTopology;
 use moc_system::moe::presets;
-use moc_system::moe::{LoadModel, LoadProfile};
-use moc_system::store::{FaultEvent, FileObjectStore, MemoryObjectStore, ObjectStore};
+use moc_system::moe::{ExpertId, LoadModel, LoadProfile, MoeModelConfig};
+use moc_system::store::{
+    ClusterMemory, FaultEvent, FileObjectStore, MemoryObjectStore, NodeId, ObjectStore, ShardKey,
+    StatePart,
+};
 use moc_system::train::harness::{run_experiment, FaultToleranceConfig, TrainConfig};
 use moc_system::train::PecMode;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
+
+/// One `CkptEngine` per node over a shared store, fed the way the live
+/// runtime feeds its engines: checkpoint `t` snapshots the experts of
+/// `PartialPlan::at(t)` (every expert at bootstrap), sharded over ranks
+/// by `ShardingPlanner::plan_selected`. An expert shard persists when its
+/// expert is in the persist set; non-expert shards always persist.
+struct NodeEngines {
+    planner: ShardingPlanner,
+    strategy: ShardingStrategy,
+    plan: PartialPlan,
+    memory: ClusterMemory,
+    store: Arc<dyn ObjectStore>,
+    engines: Vec<CkptEngine>,
+    healthy: Vec<bool>,
+    /// Payloads are `bytes / scale` long (at least 16).
+    scale: u64,
+}
+
+impl NodeEngines {
+    fn new(
+        model: MoeModelConfig,
+        topo: ParallelTopology,
+        store: Arc<dyn ObjectStore>,
+        strategy: ShardingStrategy,
+        (k_snapshot, k_persist): (usize, usize),
+        scale: u64,
+    ) -> Self {
+        let plan = PartialPlan::new(
+            k_snapshot,
+            k_persist,
+            model.num_experts(),
+            model.num_moe_layers(),
+        );
+        let planner = ShardingPlanner::new(model, topo).unwrap();
+        let nodes = topo.nodes();
+        let memory = ClusterMemory::new(nodes);
+        let engines = (0..nodes)
+            .map(|n| {
+                let tier = Some(memory.node_arc(NodeId(n)));
+                CkptEngine::spawn(n, tier, store.clone(), CkptConfig::default())
+            })
+            .collect();
+        Self {
+            planner,
+            strategy,
+            plan,
+            memory,
+            store,
+            engines,
+            healthy: vec![true; nodes],
+            scale,
+        }
+    }
+
+    /// Submits checkpoint `version` of `selection` on every node.
+    fn checkpoint(&self, version: u64, selection: &CheckpointSelection) {
+        let model = self.planner.model();
+        let persist: HashSet<String> = selection
+            .persist
+            .iter()
+            .map(|id| expert_module_name(model, id))
+            .collect();
+        let mut snapshot: Vec<ExpertId> = selection.snapshot.iter().copied().collect();
+        snapshot.sort();
+        let workload = self.planner.plan_selected(self.strategy, &snapshot);
+        let mut per_node: Vec<Vec<ShardJob>> = vec![Vec::new(); self.engines.len()];
+        for (rank, load) in workload.per_rank.iter().enumerate() {
+            let node = self.planner.topology().node_of(rank);
+            for item in &load.items {
+                let module = base_module(&item.module);
+                // The payload's first 8 bytes carry its version, so a
+                // restore shows which version it produced.
+                let mut payload = vec![0u8; (item.bytes / self.scale).max(16) as usize];
+                payload[..8].copy_from_slice(&version.to_le_bytes());
+                per_node[node].push(ShardJob {
+                    key: ShardKey::new(item.module.clone(), item.part, version),
+                    payload: Bytes::from(payload),
+                    persist: !module.contains(".expert") || persist.contains(module),
+                });
+            }
+        }
+        for (engine, jobs) in self.engines.iter().zip(per_node) {
+            engine.submit(version, jobs);
+        }
+    }
+
+    fn wait_idle(&self) {
+        self.engines.iter().for_each(CkptEngine::wait_idle);
+    }
+
+    /// Wipes `node`'s CPU memory and marks it unhealthy.
+    fn fault(&mut self, node: usize) {
+        self.memory.fault(NodeId(node));
+        self.healthy[node] = false;
+    }
+
+    /// The committed chain view over the store.
+    fn chain(&self) -> ChainStore {
+        ChainStore::load_expecting(self.store.clone(), Some(self.engines.len())).unwrap()
+    }
+
+    /// Plans two-level recovery of every slot the strategy ever writes,
+    /// reading storage through the committed chain view.
+    fn recover(&self, chain: &ChainStore, at_iteration: u64) -> RecoveryPlan {
+        let slots: BTreeSet<(String, StatePart)> = self
+            .planner
+            .plan_full(self.strategy)
+            .per_rank
+            .into_iter()
+            .flat_map(|r| r.items)
+            .map(|item| (item.module, item.part))
+            .collect();
+        let slots: Vec<_> = slots.into_iter().collect();
+        plan_recovery(
+            &slots,
+            &self.memory,
+            chain,
+            &self.healthy,
+            at_iteration,
+            true,
+        )
+        .unwrap()
+    }
+}
 
 #[test]
 fn sharded_engine_checkpoints_and_recovers_on_disk() {
     let root = std::env::temp_dir().join(format!("moc-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let store = Arc::new(FileObjectStore::open(&root).unwrap());
-    let tiny = presets::tiny_lm_16e();
-    let mut engine = CheckpointEngine::new(
-        tiny.clone(),
+    let mut nodes = NodeEngines::new(
+        presets::tiny_lm_16e(),
         ParallelTopology::case3(),
         store.clone(),
-        EngineConfig {
-            strategy: ShardingStrategy::FullyShardedAdaptive,
-            snapshot_pec: PecConfig::sequential(4, 16, tiny.num_moe_layers()),
-            k_persist: 2,
-            two_level_recovery: true,
-        },
-    )
-    .unwrap();
-    let state = SyntheticState::full();
-    engine.bootstrap(0, &state);
-    for it in [10u64, 20, 30] {
-        engine.checkpoint(it, &state);
+        ShardingStrategy::FullyShardedAdaptive,
+        (4, 2),
+        1,
+    );
+    nodes.checkpoint(0, &nodes.plan.full_selection());
+    for (t, it) in [10u64, 20, 30].into_iter().enumerate() {
+        nodes.checkpoint(it, &nodes.plan.at(t as u64));
     }
-    engine.wait_idle();
+    nodes.wait_idle();
     assert!(store.total_bytes().unwrap() > 0, "real files written");
 
-    engine.fault(1);
-    let plan = engine.recover(35).unwrap();
+    nodes.fault(1);
+    let chain = nodes.chain();
+    let plan = nodes.recover(&chain, 35);
     assert_eq!(plan.resume_iteration, 30);
     // Every action fetchable and version-consistent.
     for action in &plan.actions {
-        let bytes =
-            moc_system::core::recovery::fetch_action(action, engine.memory(), store.as_ref())
-                .unwrap();
+        let bytes = fetch_action(action, &nodes.memory, &chain).unwrap();
         let v = u64::from_le_bytes(bytes[..8].try_into().unwrap());
         assert_eq!(v, action.version);
     }
+    drop(nodes);
     std::fs::remove_dir_all(&root).unwrap();
 }
 
@@ -129,27 +259,24 @@ fn paper_claim_fig12_bands_hold() {
 
 #[test]
 fn engine_with_memory_store_handles_many_checkpoints() {
-    let tiny = presets::tiny_lm_8e();
-    let mut engine = CheckpointEngine::new(
-        tiny.clone(),
+    let nodes = NodeEngines::new(
+        presets::tiny_lm_8e(),
         ParallelTopology::case1(),
         Arc::new(MemoryObjectStore::new()),
-        EngineConfig {
-            strategy: ShardingStrategy::FullySharded,
-            snapshot_pec: PecConfig::sequential(1, 8, tiny.num_moe_layers()),
-            k_persist: 1,
-            two_level_recovery: true,
-        },
-    )
-    .unwrap();
-    let state = SyntheticState::scaled(64);
-    engine.bootstrap(0, &state);
+        ShardingStrategy::FullySharded,
+        (1, 1),
+        64,
+    );
+    nodes.checkpoint(0, &nodes.plan.full_selection());
     for it in 1..=40u64 {
-        engine.checkpoint(it * 10, &state);
+        nodes.checkpoint(it * 10, &nodes.plan.at(it - 1));
     }
-    engine.wait_idle();
-    assert_eq!(engine.checkpoints_taken(), 40);
-    let plan = engine.recover(1000).unwrap();
+    nodes.wait_idle();
+    let chain = nodes.chain();
+    // The bootstrap and 40 checkpoints, all committed by every node.
+    let committed: Vec<u64> = (0..=40).map(|it| it * 10).collect();
+    assert_eq!(chain.committed_versions(), committed);
+    let plan = nodes.recover(&chain, 1000);
     assert_eq!(plan.resume_iteration, 400);
 }
 
